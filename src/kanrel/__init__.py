@@ -9,5 +9,3 @@ and determinism analysis.
 from __future__ import annotations
 
 __version__ = "0.1.0"
-
-from . import interp, pretty  # noqa: E402,F401  (registers the default interpreters)

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .convert import DirectedEngine
-from .interp import answer_iter
+from .interp import answer_iter, query_args
 from .modes import analyze
 from .normal import normalize_program
 from .parser import load_corpus
 from .pretty import format_term
-from .schema import Hole, Node, Term, VarId
+from .schema import Node, Term
 
 REPS = 10
 
@@ -210,12 +210,7 @@ class _Runner:
 
     def iter_makers(self, spec: RowSpec):
         program = self.programs[spec.corpus]
-        params = program.relation(spec.rel).params
-        it = iter(spec.ins)
-        args = tuple(
-            next(it) if d == "i" else Hole(VarId(900 + pos, p.type))
-            for pos, (d, p) in enumerate(zip(spec.direction, params))
-        )
+        args = query_args(program.relation(spec.rel), spec.direction, spec.ins)
         engine = self.engines[spec.corpus]
 
         def make_ref() -> Iterator:

@@ -20,12 +20,12 @@ from pathlib import Path
 from . import bench as bench_mod
 from .convert import DirectedEngine
 from .goals import GoalError, Program
-from .interp import run as ref_run
+from .interp import query_args, run as ref_run
 from .modes import ModeError, analyze
 from .normal import embed, format_normal, normalize_program
 from .parser import ParseError, corpus_names, load_corpus, parse_program, parse_query_terms
 from .pretty import format_program, format_term
-from .schema import Hole, SchemaError, Term, VarId, holes
+from .schema import SchemaError, Term, holes
 
 USER_ERRORS = (ParseError, SchemaError, GoalError, ModeError, OSError)
 
@@ -73,27 +73,19 @@ def _parse_inputs(program: Program, rel: str, direction: str, texts: list[str]):
     return ins
 
 
-def _ref_args(program: Program, rel: str, direction: str, ins) -> tuple[Term, ...]:
-    params = program.relation(rel).params
-    supply = iter(ins)
-    return tuple(
-        next(supply) if m == "i" else Hole(VarId(900 + pos, p.type))
-        for pos, (p, m) in enumerate(zip(params, direction))
-    )
-
-
 def _tree(term: Term) -> dict:
     return {"ctor": term.ctor, "args": [_tree(a) for a in term.args]}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 0:
+        raise UserError(f"-n must be a non-negative answer limit, got {args.n}")
     program = _load_program(args.file)
     _check_direction(program, args.rel, args.dir)
     ins = _parse_inputs(program, args.rel, args.dir, args.inputs)
     if args.engine == "ref":
-        answers = ref_run(
-            program, args.rel, _ref_args(program, args.rel, args.dir, ins), args.n
-        )
+        query = query_args(program.relation(args.rel), args.dir, ins)
+        answers = ref_run(program, args.rel, query, args.n)
     else:
         table = analyze(normalize_program(program), [(args.rel, args.dir)])
         answers = DirectedEngine(table).run(args.rel, args.dir, ins, args.n)

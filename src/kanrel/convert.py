@@ -1,10 +1,12 @@
 """Execution of directed procedures.
 
-A procedure whose determinism is at most semidet runs on a simple
-early-return path that produces zero or one answers.  Everything else runs
-on the same interleaving stream algebra as the search engine, with exactly
-one delay introduced per call, so that corpus programs produce answers in
-the same order under both engines.
+Each clause of a procedure is compiled once into a step plan, and that plan
+is the procedure's only executable form.  Procedures that can yield many
+answers run it on the same interleaving stream algebra as the search
+engine, with exactly one delay introduced per call, so that corpus programs
+produce answers in the same order under both engines.  Procedures that are
+at most semidet take the first answer of the same plan by walking its
+steps directly, with no streams allocated.
 
 Generation is deferred: a ``GenerateVar`` normally binds its variable to a
 fresh symbolic hole instead of enumerating, and top-level grounding expands
@@ -248,12 +250,12 @@ class DirectedEngine:
             return unit(tuple(e[p] for p in proc.params))
 
         if self.table.det(rel, direction) <= Det.SEMIDET:
-            final = self._proc_maybe(proc, env)
+            final = self._proc_first(proc, env)
             return None if final is None else emit(final)
         return lambda: bind(self._proc_stream(proc, env), emit)
 
     def maybe_answer(self, rel: str, direction: Direction | str, ins):
-        """Early-return path, usable whenever the procedure is not nondet."""
+        """The one answer or None, for a procedure that is not nondet."""
         direction = _as_direction(direction)
         proc = self.table.proc(rel, direction)
         if self.table.det(rel, direction) > Det.SEMIDET:
@@ -261,7 +263,7 @@ class DirectedEngine:
                 f"{rel}^{direction_str(direction)} is nondet, "
                 "it has no single-answer form"
             )
-        env = self._proc_maybe(proc, self._entry_env(proc, ins))
+        env = self._proc_first(proc, self._entry_env(proc, ins))
         if env is None:
             return None
         return tuple(env[p] for p in proc.params)
@@ -287,55 +289,7 @@ class DirectedEngine:
     def _fresh_hole(self, type_name: str) -> Hole:
         return Hole(VarId(next(self._holes), type_name, "r"))
 
-    # --- single-answer path ---
-
-    def _proc_maybe(self, proc: DirectedProc, env: dict) -> dict | None:
-        for ci, clause in enumerate(proc.clauses):
-            got = self._clause_maybe(proc, ci, clause, dict(env))
-            if got is not None:
-                return got
-        return None
-
-    def _clause_maybe(
-        self, proc: DirectedProc, ci: int, clause: DirectedClause, env: dict
-    ) -> dict | None:
-        rel, dstr = _proc_key(proc)
-        for oi, op in enumerate(clause.ops):
-            if isinstance(op, Guard):
-                if not _check_equal(env[op.var], env[op.other]):
-                    return None
-            elif isinstance(op, GuardCtor):
-                val = self._concrete(env[op.var])
-                if val.ctor != op.ctor:
-                    return None
-                for sub, a in zip(val.args, op.args):
-                    if not _check_equal(sub, env[a]):
-                        return None
-            elif isinstance(op, Match):
-                val = self._concrete(env[op.var])
-                if val.ctor != op.ctor:
-                    return None
-                for sub, a in zip(val.args, op.args):
-                    env[a] = sub
-            elif isinstance(op, Assign):
-                env[op.var] = self._build(op.term, env)
-            elif isinstance(op, GenerateVar):
-                if (rel, dstr, ci, oi) in self.inline:
-                    env[op.var] = next(self.schema.generate(op.var.type))
-                else:
-                    env[op.var] = self._fresh_hole(op.var.type)
-            elif isinstance(op, DirCall):
-                callee = self.table.proc(op.rel, op.direction)
-                sub_env = self._call_env(op, env)
-                result = self._proc_maybe(callee, sub_env)
-                if result is None:
-                    return None
-                for a, p, m in zip(op.args, callee.params, op.direction):
-                    if m is Mode.OUT:
-                        env[a] = result[p]
-        return env
-
-    # --- stream path ---
+    # --- execution ---
     #
     # Each clause is compiled once into a step plan.  Maximal runs of ops
     # that never suspend (guards, matches, assigns, residual generation) are
@@ -350,24 +304,45 @@ class DirectedEngine:
     def _run_plan(self, plan: list, env: dict) -> Stream:
         if not plan:
             return unit(env)
-        fused0, fn0 = plan[0]
+        fused0, fn0, _ = plan[0]
         if fused0:
             got = fn0(env)
             out = None if got is None else unit(got)
         else:
             out = fn0(env)
-        for fused, fn in plan[1:]:
+        for fused, fn, _ in plan[1:]:
             out = smap(out, fn) if fused else bind(out, fn)
         return out
+
+    def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
+        """First answer of the procedure's plans, without building streams.
+
+        Only for procedures that are at most semidet.  Each of their steps
+        yields at most one env (callees are at most semidet, and inline
+        generation fills only singleton types), so walking the steps' first
+        functions in order finds the one answer the stream would yield.
+        """
+        for plan in self._plans[_proc_key(proc)]:
+            got = env
+            for _, _, first in plan:
+                got = first(got)
+                if got is None:
+                    break
+            else:
+                return got
+        return None
 
     def _compile_clause(
         self, proc: DirectedProc, ci: int, clause: DirectedClause
     ) -> list:
-        """Plan: list of (fused, fn); fused fns map env -> env | None.
+        """Plan: list of (fused, fn, first); fused fns map env -> env | None.
 
-        A mature run that follows a call or an enumeration is absorbed into
-        that step's per-element function, so each element pays one dict copy
-        and one map call instead of a separate stream layer.
+        A bind step's fn maps an env to a stream of envs, and its first maps
+        an env to the step's first surviving env or None; a fused step is
+        its own first.  A mature run that follows a call or an enumeration
+        is absorbed into that step's per-element function, so each element
+        pays one dict copy and one map call instead of a separate stream
+        layer.
         """
         plan: list = []
         run: list = []
@@ -376,9 +351,10 @@ class DirectedEngine:
         def flush(nxt) -> None:
             nonlocal run, pending
             if pending is not None:
-                plan.append((False, pending(run)))
+                plan.append((False, *pending(run)))
             elif run:
-                plan.append((True, self._fuse(run)))
+                fused = self._fuse(run)
+                plan.append((True, fused, fused))
             run = []
             pending = nxt
 
@@ -509,10 +485,10 @@ class DirectedEngine:
             if m is Mode.OUT
         )
         post = tuple(post)
-        proc_stream = self._proc_stream
+        proc_stream, proc_first = self._proc_stream, self._proc_first
 
-        def step(env: dict) -> Stream:
-            sub_env = {p: env[a] for p, a in ins}
+        def leave(env: dict):
+            """Per-call continuation: copy the callee's outs, run post."""
 
             def emit(callee_env: dict) -> dict | None:
                 env2 = dict(env)
@@ -524,17 +500,28 @@ class DirectedEngine:
                         return None
                 return env2
 
+            return emit
+
+        def step(env: dict) -> Stream:
+            sub_env = {p: env[a] for p, a in ins}
+            emit = leave(env)
             # The single delay per call: same placement as the search engine.
             return lambda: smap(proc_stream(callee, sub_env), emit)
 
-        return step
+        def first(env: dict) -> dict | None:
+            callee_env = proc_first(callee, {p: env[a] for p, a in ins})
+            return None if callee_env is None else leave(env)(callee_env)
+
+        return step, first
 
     def _compile_enumerate(self, op: GenerateVar, post: list):
         var, type_name = op.var, op.var.type
         post = tuple(post)
         generate = self.schema.generate
 
-        def step(env: dict) -> Stream:
+        def enter(env: dict):
+            """Per-call continuation: bind the value, run post."""
+
             def fill(value: Term) -> dict | None:
                 env2 = dict(env)
                 env2[var] = value
@@ -544,19 +531,20 @@ class DirectedEngine:
                         return None
                 return env2
 
-            return smap(from_iterator(generate(type_name)), fill)
+            return fill
 
-        return step
+        def step(env: dict) -> Stream:
+            return smap(from_iterator(generate(type_name)), enter(env))
 
-    # --- shared helpers ---
+        def first(env: dict) -> dict | None:
+            fill = enter(env)
+            for value in generate(type_name):
+                env2 = fill(value)
+                if env2 is not None:
+                    return env2
+            return None
 
-    def _call_env(self, op: DirCall, env: dict) -> dict[VarId, Term]:
-        callee = self.table.proc(op.rel, op.direction)
-        return {
-            p: env[a]
-            for a, p, m in zip(op.args, callee.params, op.direction)
-            if m is Mode.IN
-        }
+        return step, first
 
     def _concrete(self, val: Term) -> Node:
         if isinstance(val, Hole):
@@ -564,11 +552,6 @@ class DirectedEngine:
                 f"symbolic hole {val.var!r} reached a destructuring operation"
             )
         return val
-
-    def _build(self, term, env: dict) -> Term:
-        if isinstance(term, FlatVar):
-            return env[term.var]
-        return Node(term.ctor, tuple(env[a] for a in term.args))
 
 
 def _compile_plug(term: Term):

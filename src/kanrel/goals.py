@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, Mapping, Sequence, TypeVar
+from typing import Generic, Iterator, Mapping, Sequence, TypeVar
 
 from .schema import (
     DuplicateName,
@@ -262,29 +262,6 @@ def fold_goal(interp: GoalInterpreter[R], goal: Goal) -> R:
     if isinstance(goal, Call):
         return interp.on_call(goal)
     return interp.on_fresh(goal, fold_goal(interp, goal.body))
-
-
-class InterpreterRegistry:
-    """Named interpreter factories (program -> GoalInterpreter)."""
-
-    def __init__(self) -> None:
-        self._factories: dict[str, Callable[[Program], GoalInterpreter]] = {}
-
-    def register(
-        self, name: str, factory: Callable[[Program], GoalInterpreter]
-    ) -> None:
-        if name in self._factories:
-            raise DuplicateName(f"interpreter {name} is registered twice")
-        self._factories[name] = factory
-
-    def get(self, name: str) -> Callable[[Program], GoalInterpreter]:
-        return self._factories[name]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._factories))
-
-
-registry = InterpreterRegistry()
 
 
 class GoalBuilder:

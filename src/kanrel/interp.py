@@ -26,11 +26,11 @@ from .goals import (
     Goal,
     GoalInterpreter,
     Program,
+    Relation,
     TypeMismatch,
     Unify,
     check_term,
     fold_goal,
-    registry,
 )
 from .schema import Hole, Node, Term, TermSchema, VarId, deref, holes, rebuild
 from .streams import Stream, bind, from_iterator, mplus_all, stream_iter, unit
@@ -216,6 +216,15 @@ def ground_answers(
     return bind(candidates, fill)
 
 
+def query_args(relation: Relation, direction: str, ins) -> tuple[Term, ...]:
+    """Ground ins at the direction's 'i' positions, typed holes at its 'o's."""
+    supply = iter(ins)
+    return tuple(
+        next(supply) if m == "i" else Hole(VarId(900 + pos, p.type))
+        for pos, (p, m) in enumerate(zip(relation.params, direction))
+    )
+
+
 def query_stream(
     program: Program,
     rel_name: str,
@@ -283,6 +292,3 @@ def answer_iter(
     strict: bool = False,
 ) -> Iterator[tuple[Term, ...]]:
     return stream_iter(query_stream(program, rel_name, args, strict=strict))
-
-
-registry.register("eval", RefEval)

@@ -19,7 +19,6 @@ from .goals import (
     Relation,
     Unify,
     fold_goal,
-    registry,
 )
 from .schema import Hole, Term, TypeDecl, VarId, holes
 
@@ -146,6 +145,3 @@ def format_program(program: Program) -> str:
     chunks = [format_type_decl(d) for d in program.schema.types]
     chunks.extend(format_relation(r) for r in program.relations)
     return "\n\n".join(chunks) + "\n"
-
-
-registry.register("pretty", lambda program: Pretty())

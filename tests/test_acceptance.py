@@ -37,7 +37,7 @@ from conftest import (
 )
 
 from kanrel import bench
-from kanrel.interp import query_stream, run
+from kanrel.interp import query_args, query_stream, run
 from kanrel.modes import Assign, Det, DirCall, GenerateVar, Match, direction_str
 from kanrel.normal import (
     check_normal,
@@ -94,14 +94,6 @@ def _values_up_to(schema, type_name: str, max_nodes: int) -> list[Node]:
     ]
 
 
-def _query_args(relation, direction: str, ins) -> tuple:
-    """Ground inputs at the in positions, typed holes at the out positions."""
-    args, supply = [], iter(ins)
-    for pos, (param, mode) in enumerate(zip(relation.params, direction)):
-        args.append(next(supply) if mode == "i" else Hole(VarId(5000 + pos, param.type)))
-    return tuple(args)
-
-
 def test_criterion_1_engines_agree_on_small_inputs():
     started = time.perf_counter()
     compared = 0
@@ -120,7 +112,7 @@ def test_criterion_1_engines_agree_on_small_inputs():
             if capped:
                 assert converted, (rel, direction)
             want = len(converted) if capped else 20
-            ref = run(program, rel, _query_args(relation, direction, combo), want)
+            ref = run(program, rel, query_args(relation, direction, combo), want)
             assert sorted(map(_render, converted)) == sorted(map(_render, ref)), (
                 rel,
                 direction,

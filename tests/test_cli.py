@@ -86,13 +86,44 @@ def test_run_reads_files_outside_the_bundle(tmp_path, capsys):
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "S(_)"],
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "Nil"],
         ["frobnicate"],
+        ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "O", "-n", "-1"],
     ],
-    ids=["file", "rel", "dir", "missing-in", "hole-in", "wrong-type", "command"],
+    ids=[
+        "file", "rel", "dir", "missing-in", "hole-in", "wrong-type", "command",
+        "negative-n",
+    ],
 )
 def test_user_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err
+    assert "Traceback" not in err
+
+
+def test_run_defaults_to_the_search_engine():
+    argv = ["run", "nat", "--rel", "addo", "--dir", "iii"]
+    assert cli.build_parser().parse_args(argv).engine == "ref"
+
+
+@pytest.mark.parametrize("engine", ["ref", "converted"])
+def test_run_without_answers_prints_nothing_and_exits_zero(capsys, engine):
+    code, out, err = run_cli(
+        capsys, "run", "nat", "--rel", "addo", "--dir", "iii",
+        "--in", "S(O)", "--in", "S(O)", "--in", "S(O)", "--engine", engine,
+    )
+    assert (code, out, err) == (0, "", "")
+
+
+def test_internal_error_exits_two(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "ref_run", boom)
+    code, _, err = run_cli(
+        capsys, "run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "O"
+    )
+    assert code == 2
+    assert "invariant broken" in err
 
 
 # --- displays ---

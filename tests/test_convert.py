@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,20 @@ def test_semidet_directions_use_single_answer_path(addo_engine):
         assert len(addo_engine.run("addo", direction, ins, 10)) <= 1
 
 
+# Every corpus procedure that is at most semidet, besides addo's.
+SEMIDET_PROCS = [
+    ("sort", "leo", "ii"),
+    ("sort", "gto", "ii"),
+    ("balance", "leaves", "io"),
+    ("typecheck", "lookupo", "iii"),
+    ("typecheck", "lookupo", "iio"),
+    ("typecheck", "typov", "iii"),
+    ("typecheck", "typov", "iio"),
+    ("typecheck", "typo", "ii"),
+    ("typecheck", "typo", "io"),
+]
+
+
 def test_maybe_matches_stream_path(addo_engine):
     cases = [
         ("iii", (nat(2), nat(3), nat(5))),
@@ -122,6 +138,46 @@ def test_maybe_matches_stream_path(addo_engine):
         assert len(via_stream) <= 1
         maybe = addo_engine.maybe_answer("addo", direction, ins)
         assert maybe == (via_stream[0] if via_stream else None)
+    for corpus, rel, direction in SEMIDET_PROCS:
+        eng = engine_for(corpus, [(rel, direction)])
+        assert eng.table.det(rel, direction) <= Det.SEMIDET
+        proc = eng.table.proc(rel, direction)
+        pools = [
+            [v for size in range(1, 6) for v in eng.schema.values_of_size(p.type, size)]
+            for p, m in zip(proc.params, direction)
+            if m == "i"
+        ]
+        answered = 0
+        for ins in itertools.product(*pools):
+            via_stream = stream_all(eng, rel, direction, ins)
+            assert len(via_stream) <= 1
+            maybe = eng.maybe_answer(rel, direction, ins)
+            assert maybe == (via_stream[0] if via_stream else None), (rel, ins)
+            answered += maybe is not None
+        assert answered, (rel, direction)
+
+
+SINGLETON_INLINE = """
+type Unit = U.
+type Nat = O | S(Nat).
+rel isz(u: Unit, n: Nat) = n == O.
+rel r(n: Nat) = fresh u, w . (isz(u, n), isz(w, n), u == w).
+"""
+
+
+def test_maybe_runs_inline_singleton_generation():
+    program = parse_program(SINGLETON_INLINE)
+    table = analyze(normalize_program(program), [("r", "i")])
+    assert table.det("isz", "oi") <= Det.SEMIDET
+    eng = DirectedEngine(table)
+    # The guard u == w inspects isz's generated out, so it enumerates inline.
+    assert any(src[0] == "isz" for src in eng.inline)
+    assert eng.maybe_answer("r", "i", (nat(0),)) == (nat(0),)
+    assert eng.maybe_answer("r", "i", (nat(1),)) is None
+    for n, want in [(0, [(nat(0),)]), (1, [])]:
+        assert stream_all(eng, "r", "i", (nat(n),)) == want
+        assert eng.run("r", "i", (nat(n),), None) == want
+        assert run(program, "r", (nat(n),), None) == want
 
 
 def test_maybe_answer_rejects_nondet(addo_engine):

@@ -13,7 +13,6 @@ from kanrel.goals import (
     Fresh,
     GoalBuilder,
     GoalInterpreter,
-    InterpreterRegistry,
     Program,
     Relation,
     TypeMismatch,
@@ -25,7 +24,6 @@ from kanrel.goals import (
     fold_goal,
     free_vars,
     goal_terms,
-    registry,
 )
 from kanrel.schema import DuplicateName, Hole, Node, VarSupply
 
@@ -172,15 +170,3 @@ class TestTraversals:
                 return body
 
         assert fold_goal(CountUnify(), addo_program().relation("addo").body) == 4
-
-
-class TestRegistry:
-    def test_default_registrations_present(self):
-        assert "pretty" in registry.names()
-        assert "eval" in registry.names()
-
-    def test_duplicate_registration_rejected(self):
-        r = InterpreterRegistry()
-        r.register("x", lambda p: None)
-        with pytest.raises(DuplicateName):
-            r.register("x", lambda p: None)
