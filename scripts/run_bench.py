@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the bundled corpus suites under both engines.
 
-Prints the human-readable table; optionally writes the raw rows as CSV.
+Prints the human-readable table; optionally writes the raw rows as CSV
+or as JSON (one record per row and engine).
 A filtered, low-rep run is handy while iterating on engine internals:
 
     python scripts/run_bench.py --suite add_det --reps 3
@@ -10,6 +11,7 @@ A filtered, low-rep run is handy while iterating on engine internals:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +27,10 @@ def main() -> int:
     )
     parser.add_argument("--reps", type=int, default=bench.REPS)
     parser.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
+    parser.add_argument(
+        "--json", metavar="PATH",
+        help="also write one JSON record per row and engine",
+    )
     args = parser.parse_args()
 
     rows = bench.default_rows()
@@ -35,6 +41,9 @@ def main() -> int:
     if args.csv:
         Path(args.csv).write_text(report.csv())
         print(f"wrote {args.csv}", file=sys.stderr)
+    if args.json:
+        Path(args.json).write_text(json.dumps(report.records(), indent=1) + "\n")
+        print(f"wrote {args.json}", file=sys.stderr)
     return 0
 
 

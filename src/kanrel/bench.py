@@ -17,6 +17,7 @@ import gc
 import hashlib
 import io
 import itertools
+import platform
 import statistics
 import time
 from dataclasses import dataclass
@@ -82,6 +83,25 @@ class BenchReport:
                     f"{ns},{r.reps},{r.answers_hash}\n"
                 )
         return out.getvalue()
+
+    def records(self) -> list[dict]:
+        """One record per row and engine, for machine-readable output."""
+        python = platform.python_version()
+        return [
+            {
+                "suite": r.suite,
+                "query": r.query,
+                "engine": engine,
+                "param": r.param,
+                "median_ns": ns,
+                "reps": r.reps,
+                "answers": r.answers,
+                "hash": r.answers_hash,
+                "python": python,
+            }
+            for r in self.rows
+            for engine, ns in (("ref", r.ref_ns), ("converted", r.converted_ns))
+        ]
 
     def table(self) -> str:
         header = (

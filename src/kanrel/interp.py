@@ -32,7 +32,17 @@ from .goals import (
     check_term,
     fold_goal,
 )
-from .schema import Hole, Node, Term, TermSchema, VarId, deref, holes, rebuild
+from .schema import (
+    Hole,
+    Node,
+    Term,
+    TermSchema,
+    VarId,
+    deref,
+    holes,
+    is_ground,
+    rebuild,
+)
 from .streams import Stream, bind, from_iterator, mplus_all, stream_iter, unit
 
 
@@ -58,10 +68,32 @@ def walk(term: Term, subst: Mapping[VarId, Term]) -> Term:
 
 
 def occurs(var: VarId, term: Term, subst: Mapping[VarId, Term]) -> bool:
-    t = walk(term, subst)
-    if isinstance(t, Hole):
-        return t.var == var
-    return any(occurs(var, a, subst) for a in t.args)
+    """True when var appears in term once the bindings of subst are followed.
+
+    Iterative.  A walked node that ``is_ground`` finds hole-free cannot hold
+    var under any substitution, so it is skipped.  ``is_ground`` marks it,
+    and every hole-free node below it, the first time, so later checks skip
+    it in O(1): binding a variable to the rest of a ground input costs O(1),
+    not a rescan of the input.
+    """
+    pending = [term]
+    while pending:
+        t = walk(pending.pop(), subst)
+        if isinstance(t, Hole):
+            if t.var == var:
+                return True
+        elif not is_ground(t):
+            # is_ground has marked every hole-free node below t, so an
+            # unmarked node below it holds a hole: descend without asking
+            # again, which keeps a deep chain of holed nodes linear.
+            open_nodes = [t]
+            while open_nodes:
+                for a in open_nodes.pop().args:
+                    if isinstance(a, Hole):
+                        pending.append(a)
+                    elif a.args and not a._ground:
+                        open_nodes.append(a)
+    return False
 
 
 def _shallow_type(term: Term, schema: TermSchema) -> str:

@@ -83,6 +83,10 @@ class Node:
 
     ctor: str
     args: tuple[Term, ...] = ()
+    # Set to True on an instance, outside the constructor, once is_ground
+    # finds it hole-free.  Not a field, so no part of eq, hash or repr.
+    # False means "not known": an unmarked node may still be ground.
+    _ground = False
 
     def __str__(self) -> str:
         if not self.args:
@@ -332,9 +336,34 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def is_ground(term: Term) -> bool:
+    """True when the term holds no hole.
+
+    Every hole-free node below the term, the term included, is marked with
+    ``_ground`` (set outside the constructor, as ``VarId`` caches its hash),
+    and a marked node is not entered again, so asking about a term costs
+    its unmarked part only.  Only hole-free nodes are marked; nullary nodes
+    are ground without a mark.  Nodes are immutable, so the mark is a fact
+    about the term alone, never about a substitution, and it takes no part
+    in equality, hashing or repr.
+    """
     if isinstance(term, Hole):
         return False
-    return all(is_ground(a) for a in term.args)
+    if not term.args or term._ground:
+        return True
+    # Unmarked nodes, parents before children (the list grows as the loop
+    # reads it); reversed, every child precedes its parent.
+    order = [term]
+    for node in order:
+        for a in node.args:
+            if isinstance(a, Node) and a.args and not a._ground:
+                order.append(a)
+    for node in reversed(order):
+        for a in node.args:
+            if isinstance(a, Hole) or (a.args and not a._ground):
+                break
+        else:
+            object.__setattr__(node, "_ground", True)
+    return term._ground
 
 
 def term_size(term: Term) -> int:
@@ -345,17 +374,26 @@ def term_size(term: Term) -> int:
 
 
 def holes(term: Term) -> tuple[VarId, ...]:
-    """Variables of a term in first-occurrence (leftmost, outermost) order."""
+    """Variables of a term in first-occurrence (leftmost, outermost) order.
+
+    Nodes marked hole-free by ``is_ground`` are not entered.
+    """
     seen: dict[VarId, None] = {}
-
-    def go(t: Term) -> None:
-        if isinstance(t, Hole):
-            seen.setdefault(t.var)
-        else:
-            for a in t.args:
-                go(a)
-
-    go(term)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        # Descend into the first argument directly; the rest wait on the
+        # stack, rightmost deepest.
+        while True:
+            if isinstance(t, Hole):
+                seen.setdefault(t.var)
+                break
+            args = t.args
+            if not args or t._ground:
+                break
+            if len(args) > 1:
+                stack += args[:0:-1]
+            t = args[0]
     return tuple(seen)
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import platform
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,29 @@ def test_bench_rows_and_csv(tmp_path, capsys, monkeypatch):
     assert ref_line[2] == "ref" and conv_line[2] == "converted"
     assert ref_line[6] == conv_line[6]
     assert int(ref_line[5]) == 10
+
+
+def test_run_bench_script_writes_json(tmp_path, capsys, monkeypatch):
+    rows = [r for r in bench.default_rows() if r.suite == "sort"][:1]
+    monkeypatch.setattr(bench, "default_rows", lambda: rows)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_bench.py"
+    main = runpy.run_path(str(script))["main"]
+    json_path = tmp_path / "rows.json"
+    monkeypatch.setattr(sys, "argv", ["run_bench.py", "--reps", "2", "--json", str(json_path)])
+    assert main() == 0
+    records = json.loads(json_path.read_text())
+    assert [r["engine"] for r in records] == ["ref", "converted"]
+    for r in records:
+        assert set(r) == {
+            "suite", "query", "engine", "param", "median_ns", "reps",
+            "answers", "hash", "python",
+        }
+        assert (r["suite"], r["query"], r["param"]) == ("sort", "sorto@oi", "len=3")
+        assert r["reps"] == 2 and r["answers"] == 6
+        assert r["median_ns"] > 0
+        assert r["python"] == platform.python_version()
+    assert records[0]["hash"] == records[1]["hash"]
+    assert "sorto@oi" in capsys.readouterr().out
 
 
 def test_bench_unknown_suite_is_user_error(capsys):

@@ -197,6 +197,16 @@ def test_addo_iio_is_addition(a, b):
 test_addo_iio_is_addition.engine = engine_for("nat", [("addo", "iio")])
 
 
+def test_addo_iio_answers_past_the_recursion_limit_of_is_ground():
+    # The entry check runs is_ground on each input; when it recursed it
+    # raised RecursionError on S^9000(O).
+    eng = engine_for("nat", [("addo", "iio")])
+    answers = eng.run("addo", "iio", (nat(9000), nat(3)), None)
+    assert len(answers) == 1
+    # unnat walks iteratively; == on a term this deep would recurse in C.
+    assert [unnat(t) for t in answers[0]] == [9000, 3, 9003]
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 8), st.integers(0, 16))
 def test_addo_ioo_matches_reference(x, n):

@@ -15,17 +15,20 @@ from hypothesis import strategies as st
 
 from conftest import addo_program, deref_oracle, loop_program, nat, unnat
 from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
+import kanrel.interp as interp_module
 from kanrel.interp import (
     State,
     UnconstrainedAnswer,
     answer_iter,
     ground_answers,
+    occurs,
+    query_args,
     query_stream,
     run,
     unify,
     walk,
 )
-from kanrel.schema import Hole, Node, VarId, VarSupply, holes
+from kanrel.schema import Hole, Node, Term, VarId, VarSupply, holes, is_ground
 from kanrel.streams import take
 
 PROG = addo_program()
@@ -209,6 +212,147 @@ def test_deref_agrees_with_iterative_oracle(case):
 
     root, subst = case
     assert deref(Hole(root), subst) == deref_oracle(Hole(root), subst)
+
+
+def occurs_oracle(var: VarId, term: Term, subst) -> bool:
+    """The plain recursive occurs check (oracle only; assumes acyclic subst)."""
+    while isinstance(term, Hole) and term.var in subst:
+        term = subst[term.var]
+    if isinstance(term, Hole):
+        return term.var == var
+    return any(occurs_oracle(var, a, subst) for a in term.args)
+
+
+OCC_VARS = [VarId(i, "Nat", f"o{i}") for i in range(5)]
+
+
+def occ_term(max_leaves: int):
+    """Terms over S, O and a binary Pair, holes at some leaves (occurs ignores types)."""
+    leaf = st.one_of(
+        st.builds(nat, st.integers(0, 3)),
+        st.sampled_from([Hole(v) for v in OCC_VARS]),
+    )
+    return st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.builds(lambda t: Node("S", (t,)), kids),
+            st.builds(lambda a, b: Node("Pair", (a, b)), kids, kids),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def occurs_case(draw):
+    """A variable, a term and an acyclic substitution (oi only mentions oj, j > i)."""
+    subst = {}
+    for i in range(len(OCC_VARS) - 1, 0, -1):
+        if draw(st.booleans()):
+            t = draw(occ_term(6))
+            subst[OCC_VARS[i]] = rebuild_without(t, OCC_VARS[: i + 1])
+    var = draw(st.sampled_from(OCC_VARS))
+    term = draw(occ_term(10))
+    premark = draw(st.lists(st.integers(0, 20), max_size=3))
+    return var, term, subst, premark
+
+
+def rebuild_without(term: Term, banned) -> Term:
+    """Replace holes of banned variables by O, keeping the substitution acyclic."""
+    if isinstance(term, Hole):
+        return Node("O") if term.var in banned else term
+    return Node(term.ctor, tuple(rebuild_without(a, banned) for a in term.args))
+
+
+def subterms(term: Term) -> list[Term]:
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Node):
+            stack.extend(t.args)
+    return out
+
+
+@given(occurs_case())
+@settings(max_examples=300, deadline=None)
+def test_occurs_agrees_with_recursive_oracle(case):
+    var, term, subst, premark = case
+    expected = occurs_oracle(var, term, subst)
+    # Ask is_ground of some subterms first, as earlier unifications would.
+    pool = subterms(term) + [s for b in subst.values() for s in subterms(b)]
+    for i in premark:
+        is_ground(pool[i % len(pool)])
+    assert occurs(var, term, subst) == expected
+    # Asking again, now that every hole-free node seen is marked.
+    assert occurs(var, term, subst) == expected
+    # holes skips marked nodes; the order of first occurrence must hold.
+    assert holes(term) == tuple(dict.fromkeys(hole_leaves(term)))
+
+
+def hole_leaves(term: Term):
+    """Hole variables left to right, recursively (oracle only)."""
+    if isinstance(term, Hole):
+        yield term.var
+    else:
+        for a in term.args:
+            yield from hole_leaves(a)
+
+
+class TestOccursMarks:
+    v = VarId(0, "Nat", "v")
+    h = VarId(1, "Nat", "h")
+
+    def test_marks_are_syntactic_not_substitution_facts(self):
+        t = Node("S", (Hole(self.h),))
+        subst = {self.h: Node("S", (Hole(self.v),))}
+        assert not is_ground(t)
+        assert occurs(self.v, t, subst)
+        assert not t._ground
+
+    def test_binding_to_a_marked_ground_term_skips_it(self):
+        big = nat(50)
+        assert is_ground(big)
+        assert not occurs(self.v, Node("S", (big,)), {})
+
+    def test_deep_chain_needs_no_recursion(self):
+        t = Hole(self.h)
+        for _ in range(20_000):
+            t = Node("S", (t,))
+        assert occurs(self.h, t, {})
+        assert not occurs(self.v, t, {})
+        assert occurs(self.v, t, {self.h: Hole(self.v)})
+
+
+def _walk_calls(monkeypatch, direction: str, a: int) -> int:
+    calls = 0
+    real = interp_module.walk
+
+    def counting(term, subst):
+        nonlocal calls
+        calls += 1
+        return real(term, subst)
+
+    monkeypatch.setattr(interp_module, "walk", counting)
+    b = 3
+    ins = {
+        "iii": (nat(a), nat(b), nat(a + b)),
+        "iio": (nat(a), nat(b)),
+        "ioi": (nat(a), nat(a + b)),
+    }[direction]
+    rel = PROG.relation("addo")
+    answers = run(PROG, "addo", query_args(rel, direction, ins))
+    monkeypatch.setattr(interp_module, "walk", real)
+    assert [tuple(unnat(t) for t in ans) for ans in answers] == [(a, b, a + b)]
+    return calls
+
+
+@pytest.mark.parametrize("direction", ["iii", "iio", "ioi"])
+def test_deterministic_addition_unifies_in_linear_work(monkeypatch, direction):
+    # Counts, not times: the walks the unifier makes, occurs check included.
+    # A rescan of the ground input per binding makes the ratio about 4.
+    small = _walk_calls(monkeypatch, direction, 200)
+    large = _walk_calls(monkeypatch, direction, 400)
+    assert large <= 2.2 * small, (small, large)
 
 
 def test_query_stream_is_pull_driven_and_answers_are_ground():

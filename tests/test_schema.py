@@ -15,6 +15,7 @@ from conftest import (
     TREE_DECLS,
     brute_values,
     nat,
+    natlist,
     schema_from,
 )
 from kanrel.schema import (
@@ -237,6 +238,59 @@ class TestTermUtilities:
     def test_varid_name_is_cosmetic(self):
         assert VarId(7, "Nat", "x") == VarId(7, "Nat", "other")
         assert hash(VarId(7, "Nat", "x")) == hash(VarId(7, "Nat"))
+
+
+class TestGroundMarks:
+    """is_ground marks hole-free nodes; the mark is invisible to comparison."""
+
+    h = Hole(VarId(0, "Nat", "h"))
+
+    def test_marks_ground_child_not_holed_parent(self):
+        big = natlist([3, 1, 4, 1, 5])
+        t = Node("Cons", (big, Node("Cons", (self.h, Node("Nil")))))
+        assert not is_ground(t)
+        assert big._ground
+        assert big.args[0]._ground
+        assert not t._ground
+        assert not t.args[1]._ground
+
+    def test_marks_a_ground_term_once_asked(self):
+        t = nat(3)
+        assert not t._ground
+        assert is_ground(t)
+        assert t._ground
+        assert is_ground(t)
+
+    def test_marked_and_unmarked_equal_nodes_agree(self):
+        marked, plain = natlist([2, 0]), natlist([2, 0])
+        assert is_ground(marked)
+        assert marked._ground and not plain._ground
+        assert marked == plain and plain == marked
+        assert hash(marked) == hash(plain)
+        assert repr(marked) == repr(plain) and str(marked) == str(plain)
+        assert {marked: 1}[plain] == 1
+
+    def test_holes_and_deref_unchanged_by_marks(self):
+        x, y = VarId(1, "Nat", "x"), VarId(2, "Nat", "y")
+        t = Node("Cons", (nat(2), Node("Cons", (Hole(y), Node("Cons", (Hole(x), Node("Nil")))))))
+        before = (holes(t), deref(t, {y: nat(1)}))
+        is_ground(t)
+        assert (holes(t), deref(t, {y: nat(1)})) == before
+        assert before[0] == (y, x)
+
+
+class TestDeepTerms:
+    """is_ground and holes have no recursion: depth is bounded by memory alone."""
+
+    DEPTH = 20_000
+
+    def test_is_ground_and_holes_depth_20000(self):
+        assert is_ground(nat(self.DEPTH))
+        t = Hole(VarId(0, "Nat"))
+        for _ in range(self.DEPTH):
+            t = Node("S", (t,))
+        assert not is_ground(t)
+        assert holes(t) == (VarId(0, "Nat"),)
 
 
 class TestCheckValue:
