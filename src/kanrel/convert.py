@@ -8,6 +8,12 @@ produce answers in the same order under both engines.  Procedures that are
 at most semidet take the first answer of the same plan by walking its
 steps directly, with no streams allocated.
 
+A nondet procedure that calls itself on its own inputs, as ``addo^oio(y)``
+does, reads its own stream for that call instead of running a copy of
+itself: the stream is shared (call-by-need), so answer k follows from
+answer k-1 in O(1) rather than through one layer per recursion level.  The
+copy would yield exactly the same stream, so the answer order is unchanged.
+
 Generation is deferred: a ``GenerateVar`` normally binds its variable to a
 fresh symbolic hole instead of enumerating, and top-level grounding expands
 whatever holes remain in an answer.  That is only sound while no operation
@@ -41,7 +47,16 @@ from .modes import (
 )
 from .normal import FlatVar
 from .schema import Hole, InvalidValue, Node, Term, VarId, holes, is_ground
-from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, unit
+from .streams import (
+    Stream,
+    bind,
+    from_iterator,
+    mplus_all,
+    share,
+    smap,
+    stream_iter,
+    unit,
+)
 
 
 class ConvertError(Exception):
@@ -152,6 +167,9 @@ def residual_plan(table: ModeTable) -> set[SourceId]:
 
 # --- runtime ---
 
+# Kinds of plan step.
+_FUSED, _BIND, _SELF = "fused", "bind", "self"
+
 
 def _check_equal(a: Term, b: Term) -> bool:
     if a == b:
@@ -172,12 +190,26 @@ class DirectedEngine:
         self.inline = residual_plan(table)
         self._out_res = _out_residuals(table, self.inline)
         self._holes = itertools.count(10_000_000)
+        # Procedures whose repeated calls may read their own stream: nondet
+        # ones whose answers hold no symbolic hole (two uses of a shared
+        # answer would be grounded together, and answers lost).
+        self._shareable = {
+            _proc_key(proc)
+            for proc in table.procs.values()
+            if table.det(proc.rel, proc.direction) > Det.SEMIDET
+            and not any(self._out_res[_proc_key(proc)])
+        }
         self._plans = {
             _proc_key(proc): [
                 self._compile_clause(proc, ci, clause)
                 for ci, clause in enumerate(proc.clauses)
             ]
             for proc in table.procs.values()
+        }
+        self._shared = {
+            key
+            for key, plans in self._plans.items()
+            if any(kind is _SELF for plan in plans for kind, _, _ in plan)
         }
 
     # --- entry points ---
@@ -298,20 +330,35 @@ class DirectedEngine:
     # per-op bind chain, so answer order is unchanged.
 
     def _proc_stream(self, proc: DirectedProc, env: dict) -> Stream:
-        plans = self._plans[_proc_key(proc)]
-        return mplus_all([self._run_plan(plan, env) for plan in plans])
+        key = _proc_key(proc)
+        plans = self._plans[key]
+        if key not in self._shared:
+            return mplus_all([self._run_plan(plan, env) for plan in plans])
+        # Self steps read the stream through `me` once it is built; the
+        # call they make is delayed, so none of them reads it before that.
+        me: list = []
+        stream = share(mplus_all([self._run_plan(plan, env, me) for plan in plans]))
+        me.append(stream)
+        return stream
 
-    def _run_plan(self, plan: list, env: dict) -> Stream:
+    def _run_plan(self, plan: list, env: dict, me: list | None = None) -> Stream:
         if not plan:
             return unit(env)
-        fused0, fn0, _ = plan[0]
-        if fused0:
+        kind, fn0, _ = plan[0]
+        if kind is _FUSED:
             got = fn0(env)
             out = None if got is None else unit(got)
+        elif kind is _SELF:
+            out = fn0(me, env)
         else:
             out = fn0(env)
-        for fused, fn, _ in plan[1:]:
-            out = smap(out, fn) if fused else bind(out, fn)
+        for kind, fn, _ in plan[1:]:
+            if kind is _FUSED:
+                out = smap(out, fn)
+            elif kind is _SELF:
+                out = bind(out, partial(fn, me))
+            else:
+                out = bind(out, fn)
         return out
 
     def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
@@ -335,11 +382,14 @@ class DirectedEngine:
     def _compile_clause(
         self, proc: DirectedProc, ci: int, clause: DirectedClause
     ) -> list:
-        """Plan: list of (fused, fn, first); fused fns map env -> env | None.
+        """Plan: list of (kind, fn, first); fused fns map env -> env | None.
 
         A bind step's fn maps an env to a stream of envs, and its first maps
         an env to the step's first surviving env or None; a fused step is
-        its own first.  A mature run that follows a call or an enumeration
+        its own first.  A self step is a bind step for a call that repeats
+        the running one (same procedure, its own in-params passed straight
+        on); its fn takes a holder of the running call's stream before the
+        env.  A mature run that follows a call or an enumeration
         is absorbed into that step's per-element function, so each element
         pays one dict copy and one map call instead of a separate stream
         layer.
@@ -351,16 +401,16 @@ class DirectedEngine:
         def flush(nxt) -> None:
             nonlocal run, pending
             if pending is not None:
-                plan.append((False, *pending(run)))
+                plan.append(pending(run))
             elif run:
                 fused = self._fuse(run)
-                plan.append((True, fused, fused))
+                plan.append((_FUSED, fused, fused))
             run = []
             pending = nxt
 
         for oi, op in enumerate(clause.ops):
             if isinstance(op, DirCall):
-                flush(partial(self._compile_call, op))
+                flush(partial(self._compile_call, proc, op))
             elif isinstance(op, GenerateVar) and (
                 (*_proc_key(proc), ci, oi) in self.inline
             ):
@@ -472,7 +522,7 @@ class DirectedEngine:
 
         return step
 
-    def _compile_call(self, op: DirCall, post: list):
+    def _compile_call(self, proc: DirectedProc, op: DirCall, post: list):
         callee = self.table.proc(op.rel, op.direction)
         ins = tuple(
             (p, a)
@@ -512,7 +562,20 @@ class DirectedEngine:
             callee_env = proc_first(callee, {p: env[a] for p, a in ins})
             return None if callee_env is None else leave(env)(callee_env)
 
-        return step, first
+        same_call = (
+            callee is proc
+            and _proc_key(proc) in self._shareable
+            and all(p == a for p, a in ins)
+        )
+        if not same_call:
+            return _BIND, step, first
+
+        def self_step(me: list, env: dict) -> Stream:
+            # The running call's own stream, shared: no copy of the callee.
+            emit = leave(env)
+            return lambda: smap(me[0], emit)
+
+        return _SELF, self_step, first
 
     def _compile_enumerate(self, op: GenerateVar, post: list):
         var, type_name = op.var, op.var.type
@@ -544,7 +607,7 @@ class DirectedEngine:
                     return env2
             return None
 
-        return step, first
+        return _BIND, step, first
 
     def _concrete(self, val: Term) -> Node:
         if isinstance(val, Hole):

@@ -41,14 +41,29 @@ def display_names(vars: tuple[VarId, ...]) -> dict[VarId, str]:
 
 
 def format_term(term: Term, names: Mapping[VarId, str] | None = None) -> str:
-    if isinstance(term, Hole):
-        if names is not None and term.var in names:
-            return names[term.var]
-        return term.var.name if term.var.name is not None else f"v{term.var.id}"
-    if not term.args:
-        return term.ctor
-    args = ", ".join(format_term(a, names) for a in term.args)
-    return f"{term.ctor}({args})"
+    """Surface syntax of a term.  Iterative, so any depth prints."""
+    out: list[str] = []
+    # Terms still to print, and the literal text between them.
+    pending: list[Term | str] = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Hole):
+            if names is not None and t.var in names:
+                out.append(names[t.var])
+            else:
+                out.append(t.var.name if t.var.name is not None else f"v{t.var.id}")
+        elif not t.args:
+            out.append(t.ctor)
+        else:
+            out.append(f"{t.ctor}(")
+            pending.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                pending.append(t.args[i])
+                if i:
+                    pending.append(", ")
+    return "".join(out)
 
 
 class Pretty(GoalInterpreter[str]):

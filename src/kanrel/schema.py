@@ -374,10 +374,7 @@ def term_size(term: Term) -> int:
 
 
 def holes(term: Term) -> tuple[VarId, ...]:
-    """Variables of a term in first-occurrence (leftmost, outermost) order.
-
-    Nodes marked hole-free by ``is_ground`` are not entered.
-    """
+    """Variables of a term in first-occurrence (leftmost, outermost) order."""
     seen: dict[VarId, None] = {}
     stack = [term]
     while stack:
@@ -389,7 +386,7 @@ def holes(term: Term) -> tuple[VarId, ...]:
                 seen.setdefault(t.var)
                 break
             args = t.args
-            if not args or t._ground:
+            if not args:
                 break
             if len(args) > 1:
                 stack += args[:0:-1]
@@ -411,15 +408,18 @@ def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
 
     Raises CyclicBindingError when a variable is reached again while its own
     binding is still being resolved.  Unbound holes remain in the result.
+    Iterative, so the depth of the result is not bounded by the stack.
     """
-
     lookup = subst.get
+    # One shared set, stack-disciplined: a variable is active exactly while
+    # the subtree of its own binding resolves, so membership here means
+    # "reached again along the current path".
     active: set[VarId] = set()
-
-    def go(t: Term) -> Term:
-        # One shared set, stack-disciplined: a variable is active exactly
-        # while the subtree of its own binding resolves, so membership here
-        # means "reached again along the current path".
+    # Frames of nodes still being rebuilt: [node, resolved args, variables
+    # made active on the way to the node].
+    stack: list[list] = []
+    t = term
+    while True:
         added: list[VarId] = []
         while isinstance(t, Hole):
             var = t.var
@@ -431,12 +431,22 @@ def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
             active.add(var)
             added.append(var)
             t = bound
-        if isinstance(t, Hole) or not t.args:
-            out = t
+        if isinstance(t, Node) and t.args:
+            stack.append([t, [], added])
         else:
-            out = Node(t.ctor, tuple(map(go, t.args)))
-        for var in added:
-            active.discard(var)
-        return out
-
-    return go(term)
+            out = t
+            active.difference_update(added)
+            while True:
+                if not stack:
+                    return out
+                frame = stack[-1]
+                done = frame[1]
+                done.append(out)
+                node = frame[0]
+                if len(done) < len(node.args):
+                    break
+                stack.pop()
+                out = Node(node.ctor, tuple(done))
+                active.difference_update(frame[2])
+        frame = stack[-1]
+        t = frame[0].args[len(frame[1])]

@@ -14,6 +14,9 @@ loops without producing only costs the merged stream one step per loop.
 
 Both execution engines build their streams from these four combinators and
 nothing else, which is what keeps their answer orders in lockstep.
+``share`` changes no stream's shape: it makes each delay of a stream run at
+most once (a shared delay is still a zero-arg callable), so that several
+consumers can read one stream.
 """
 
 from __future__ import annotations
@@ -80,6 +83,53 @@ def mplus_all(streams: Sequence[Stream]) -> Stream:
     for s in reversed(streams):
         out = mplus(s, out)
     return out
+
+
+class _Shared:
+    """A delay that runs its step once and keeps the (shared) result."""
+
+    __slots__ = ("step", "value")
+
+    def __init__(self, step: Callable[[], Stream]) -> None:
+        self.step = step
+
+    def __call__(self) -> Stream:
+        step = self.step
+        if step is None:
+            return self.value
+        self.step = _reentered
+        try:
+            value = share(step())
+        except BaseException:
+            self.step = step
+            raise
+        self.value = value
+        self.step = None
+        return value
+
+
+def _reentered() -> Stream:
+    raise RecursionError("a shared stream needs its own pending step")
+
+
+def share(s: Stream) -> Stream:
+    """The same stream, call-by-need: every delay in it is forced at most once.
+
+    Reading a shared stream again costs O(1) per element, so a stream may
+    be defined through itself, as in ``xs = a : map f xs``.  Its steps must
+    not depend on who forces them first.  A step that needs its own result
+    while it runs would recurse without end unshared; here it raises
+    RecursionError at once.
+    """
+    heads = []
+    while type(s) is tuple:
+        head, s = s
+        heads.append(head)
+    if s is not None and type(s) is not _Shared:
+        s = _Shared(s)
+    for head in reversed(heads):
+        s = (head, s)
+    return s
 
 
 def from_iterator(it: Iterator[Any]) -> Stream:

@@ -219,6 +219,23 @@ def test_hash_mismatch_exits_two(capsys, monkeypatch):
     assert "engines disagree" in err
 
 
+def test_deep_answer_prints_on_both_engines():
+    # Depth 7 900 inputs give a depth 15 800 answer.  The ref engine used to
+    # overflow the C stack in deref here (exit 139), and printing it raised
+    # RecursionError (exit 2).  A subprocess, so that a crash cannot take
+    # the test run down with it.
+    a = "S(" * 7900 + "O" + ")" * 7900
+    want = f"({a}, {a}, {'S(' * 15800}O{')' * 15800})\n"
+    for engine in ("ref", "converted"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
+             "--dir", "iio", "--engine", engine, "--in", a, "--in", a],
+            capture_output=True, text=True,
+        )
+        assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
+        assert proc.stdout == want, engine
+
+
 # --- packaging ---
 
 

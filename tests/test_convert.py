@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kanrel.streams as streams_module
 from kanrel.convert import (
     ConvertError,
     DirectedEngine,
@@ -205,6 +206,57 @@ def test_addo_iio_answers_past_the_recursion_limit_of_is_ground():
     assert len(answers) == 1
     # unnat walks iteratively; == on a term this deep would recurse in C.
     assert [unnat(t) for t in answers[0]] == [9000, 3, 9003]
+
+
+def test_addo_oio_reads_its_own_stream(addo_engine, monkeypatch):
+    # addo^oio(y) calls addo^oio(y): that call reads the running call's
+    # stream, so each answer follows from the one before it.
+    assert ("addo", "oio") in addo_engine._shared
+    program = corpus_program("nat")
+    ref = run(program, "addo", (qhole(0), nat(3), qhole(1)), 300)
+    assert addo_engine.run("addo", "oio", (nat(3),), 300) == ref
+
+    def smap_calls(n: int) -> int:
+        calls = 0
+        real = streams_module.smap
+
+        def counting(s, f):
+            nonlocal calls
+            calls += 1
+            return real(s, f)
+
+        monkeypatch.setattr(streams_module, "smap", counting)
+        addo_engine.run("addo", "oio", (nat(3),), n)
+        monkeypatch.setattr(streams_module, "smap", real)
+        return calls
+
+    # A copy of the callee per level made this about 4x.
+    small, large = smap_calls(200), smap_calls(400)
+    assert large <= 2.2 * small, (small, large)
+
+
+STEPS_SRC = """
+type Nat = O | S(Nat).
+
+rel addo(x: Nat, y: Nat, z: Nat) =
+    x == O, y == z
+  | fresh x2, z2 . (x == S(x2), z == S(z2), addo(x2, y, z2)).
+
+rel steps(y: Nat, x: Nat) =
+    x == y
+  | fresh x2 . (x == S(S(x2)), steps(y, x2))
+  | fresh x3 . (steps(y, x3), addo(x3, y, x)).
+"""
+
+
+def test_shared_self_calls_keep_the_reference_order():
+    # Two calls of steps^io on its own input, one of them first in its
+    # clause and one before another call: the order must not change.
+    program = parse_program(STEPS_SRC)
+    eng = DirectedEngine(analyze(normalize_program(program), [("steps", "io")]))
+    assert ("steps", "io") in eng._shared
+    ref = run(program, "steps", (nat(2), qhole(0)), 300)
+    assert eng.run("steps", "io", (nat(2),), 300) == ref
 
 
 @settings(max_examples=40)

@@ -28,7 +28,16 @@ from kanrel.interp import (
     unify,
     walk,
 )
-from kanrel.schema import Hole, Node, Term, VarId, VarSupply, holes, is_ground
+from kanrel.schema import (
+    Hole,
+    Node,
+    Term,
+    VarId,
+    VarSupply,
+    deref,
+    holes,
+    is_ground,
+)
 from kanrel.streams import take
 
 PROG = addo_program()
@@ -208,8 +217,6 @@ def acyclic_substitution(draw):
 
 @given(acyclic_substitution())
 def test_deref_agrees_with_iterative_oracle(case):
-    from kanrel.schema import deref
-
     root, subst = case
     assert deref(Hole(root), subst) == deref_oracle(Hole(root), subst)
 
@@ -285,8 +292,26 @@ def test_occurs_agrees_with_recursive_oracle(case):
     assert occurs(var, term, subst) == expected
     # Asking again, now that every hole-free node seen is marked.
     assert occurs(var, term, subst) == expected
-    # holes skips marked nodes; the order of first occurrence must hold.
     assert holes(term) == tuple(dict.fromkeys(hole_leaves(term)))
+
+
+@given(occurs_case())
+@settings(max_examples=300, deadline=None)
+def test_deref_agrees_with_recursive_oracle_on_terms(case):
+    _, term, subst, premark = case
+    pool = subterms(term)
+    for i in premark:
+        is_ground(pool[i % len(pool)])
+    assert deref(term, subst) == deref_term_oracle(term, subst)
+
+
+def deref_term_oracle(term: Term, subst) -> Term:
+    """The plain recursive deref (oracle only; assumes acyclic subst)."""
+    while isinstance(term, Hole) and term.var in subst:
+        term = subst[term.var]
+    if isinstance(term, Hole):
+        return term
+    return Node(term.ctor, tuple(deref_term_oracle(a, subst) for a in term.args))
 
 
 def hole_leaves(term: Term):

@@ -11,11 +11,20 @@ from kanrel.pretty import (
     format_relation,
     format_term,
 )
-from kanrel.schema import Hole, VarId, VarSupply
+from kanrel.schema import Hole, Node, VarId, VarSupply
 
 
 def test_format_ground_term():
     assert format_term(nat(2)) == "S(S(O))"
+
+
+def test_format_deep_term_and_separators():
+    deep = Hole(VarId(0, "Nat", "x"))
+    for _ in range(20_000):
+        deep = Node("S", (deep,))
+    assert format_term(deep) == "S(" * 20_000 + "x" + ")" * 20_000
+    pair = Node("P", (nat(1), Node("Q", (Hole(VarId(1, "Nat")), Node("O"), nat(0)))))
+    assert format_term(pair) == "P(S(O), Q(v1, O, O))"
 
 
 def test_format_hole_uses_display_name():

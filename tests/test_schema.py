@@ -199,6 +199,9 @@ class TestTermUtilities:
     def test_holes_first_occurrence_order(self):
         t = Node("Cons", (Hole(self.x), Node("Cons", (Hole(self.y), Hole(self.x)))))
         assert holes(t) == (self.x, self.y)
+        z = VarId(2, "Nat", "z")
+        wide = Node("If", (Node("S", (Hole(z),)), Hole(self.y), Hole(self.x)))
+        assert holes(wide) == (z, self.y, self.x)
 
     def test_is_ground_and_size(self):
         t = Node("S", (Hole(self.x),))
@@ -280,7 +283,7 @@ class TestGroundMarks:
 
 
 class TestDeepTerms:
-    """is_ground and holes have no recursion: depth is bounded by memory alone."""
+    """is_ground, holes and deref have no recursion: depth is bounded by memory alone."""
 
     DEPTH = 20_000
 
@@ -291,6 +294,21 @@ class TestDeepTerms:
             t = Node("S", (t,))
         assert not is_ground(t)
         assert holes(t) == (VarId(0, "Nat"),)
+
+    def test_deref_depth_20000(self):
+        # The recursive deref overflowed the C stack (a segfault) near
+        # depth 16 000.  Checked by walking: dataclass == recurses in C too.
+        x, y = VarId(0, "Nat"), VarId(1, "Nat")
+        t = Hole(x)
+        for _ in range(self.DEPTH):
+            t = Node("S", (t,))
+        out = deref(Node("Pair", (t, Hole(y))), {x: Node("S", (Hole(y),)), y: Node("O")})
+        assert out.ctor == "Pair" and out.args[1] == Node("O")
+        depth, node = 0, out.args[0]
+        while node.args:
+            assert node.ctor == "S"
+            depth, node = depth + 1, node.args[0]
+        assert (depth, node) == (self.DEPTH + 1, Node("O"))
 
 
 class TestCheckValue:

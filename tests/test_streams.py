@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import count
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,8 @@ from kanrel.streams import (
     from_iterator,
     mplus,
     mplus_all,
+    share,
+    smap,
     stream_iter,
     take,
     unit,
@@ -100,3 +103,50 @@ class TestElementPreservation:
         out = take(bind(finite(xs), lambda n: finite(list(range(n)))), 100)
         expected = Counter(k for n in xs for k in range(n))
         assert Counter(out) == expected
+
+
+class TestShare:
+    @given(st.lists(st.integers()), st.lists(st.integers()))
+    def test_share_keeps_elements_and_order(self, xs, ys):
+        plain = take(mplus(finite(xs), unit(ys)), 100)
+        shared = share(mplus(finite(xs), unit(ys)))
+        assert take(shared, 100) == plain
+        # A second reader sees the same stream again.
+        assert take(shared, 100) == plain
+
+    def test_each_delay_runs_once(self):
+        runs = []
+
+        def delayed(i):
+            def step():
+                runs.append(i)
+                return (i, delayed(i + 1) if i < 4 else None)
+
+            return step
+
+        s = share(delayed(0))
+        assert take(s, 10) == [0, 1, 2, 3, 4]
+        assert take(s, 10) == [0, 1, 2, 3, 4]
+        assert runs == [0, 1, 2, 3, 4]
+
+    def test_self_referential_stream_is_linear(self):
+        # nats = 0 : map (+1) nats, with a delay per element.
+        calls = 0
+
+        def succ(n):
+            nonlocal calls
+            calls += 1
+            return n + 1
+
+        me = []
+        nats = share(mplus(unit(0), lambda: smap(me[0], succ)))
+        me.append(nats)
+        assert take(nats, 1000) == list(range(1000))
+        assert calls < 1000
+
+    def test_a_step_that_needs_its_own_result_raises(self):
+        me = []
+        s = share(lambda: me[0]())
+        me.append(s)
+        with pytest.raises(RecursionError):
+            take(s, 1)
