@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the bundled corpus suites under both engines.
 
-Prints the human-readable table; optionally writes the raw rows as CSV
-or as JSON (one record per row and engine).
+Prints the human-readable table; optionally writes the raw rows as JSON
+(one record per row and engine).
 A filtered, low-rep run is handy while iterating on engine internals:
 
     python scripts/run_bench.py --suite add_det --reps 3
@@ -26,7 +26,6 @@ def main() -> int:
         help="run only this suite (repeatable; default: all)",
     )
     parser.add_argument("--reps", type=int, default=bench.REPS)
-    parser.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
     parser.add_argument(
         "--json", metavar="PATH",
         help="also write one JSON record per row and engine",
@@ -38,9 +37,6 @@ def main() -> int:
         rows = [row for row in rows if row.suite in args.suite]
     report = bench.run_rows(rows, reps=args.reps)
     print(report.table())
-    if args.csv:
-        Path(args.csv).write_text(report.csv())
-        print(f"wrote {args.csv}", file=sys.stderr)
     if args.json:
         Path(args.json).write_text(json.dumps(report.records(), indent=1) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)

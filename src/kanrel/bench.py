@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import io
 import itertools
 import platform
 import statistics
@@ -72,17 +71,6 @@ class RowResult:
 @dataclass
 class BenchReport:
     rows: list[RowResult]
-
-    def csv(self) -> str:
-        out = io.StringIO()
-        out.write("suite,query,engine,param,median_ns,reps,answers_hash\n")
-        for r in self.rows:
-            for engine, ns in (("ref", r.ref_ns), ("converted", r.converted_ns)):
-                out.write(
-                    f"{r.suite},{r.query},{engine},{r.param},"
-                    f"{ns},{r.reps},{r.answers_hash}\n"
-                )
-        return out.getvalue()
 
     def records(self) -> list[dict]:
         """One record per row and engine, for machine-readable output."""

@@ -1,9 +1,9 @@
 """Command-line driver for the pipeline.
 
 Commands mirror the pipeline stages: ``run`` executes a query, ``normalize``
-shows the flattened clauses, ``modes`` shows scheduled procedures,
-``convert`` emits directed-procedure text, and ``bench`` times the bundled
-corpus suites under both engines.
+prints the flattened clauses in re-parseable surface syntax, ``convert``
+prints the scheduled directed procedures with their determinism, and
+``bench`` times the bundled corpus suites under both engines.
 
 Exit codes: 0 on success, 1 on a user error (bad file, bad query, direction
 that cannot be scheduled), 2 on an internal invariant violation.
@@ -18,11 +18,11 @@ import traceback
 from pathlib import Path
 
 from . import bench as bench_mod
-from .convert import DirectedEngine
+from .convert import DirectedEngine, emit_text
 from .goals import GoalError, Program
 from .interp import query_args, run as ref_run
 from .modes import ModeError, analyze
-from .normal import embed, format_normal, normalize_program
+from .normal import embed, normalize_program
 from .parser import ParseError, corpus_names, load_corpus, parse_program, parse_query_terms
 from .pretty import format_program, format_term
 from .schema import SchemaError, Term, holes
@@ -100,28 +100,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     nprog = normalize_program(_load_program(args.file))
-    text = format_normal(nprog) if args.ir else format_program(embed(nprog))
+    text = format_program(embed(nprog))
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 
-def cmd_modes(args: argparse.Namespace) -> int:
-    from .modes import format_directed_proc
-
-    program = _load_program(args.file)
-    _check_direction(program, args.rel, args.dir)
-    table = analyze(normalize_program(program), [(args.rel, args.dir)])
-    chunks = [
-        format_directed_proc(table.procs[key], table.dets[key])
-        for key in table.keys()
-    ]
-    print("\n\n".join(chunks))
-    return 0
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
-    from .convert import emit_text
-
     program = _load_program(args.file)
     _check_direction(program, args.rel, args.dir)
     table = analyze(normalize_program(program), [(args.rel, args.dir)])
@@ -140,9 +124,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UserError(str(e.args[0])) from None
     report = bench_mod.run_rows(rows)
     print(report.table())
-    if args.csv:
-        Path(args.csv).write_text(report.csv())
-        print(f"wrote {args.csv}", file=sys.stderr)
+    if args.json:
+        Path(args.json).write_text(json.dumps(report.records(), indent=1) + "\n")
+        print(f"wrote {args.json}", file=sys.stderr)
     return 0
 
 
@@ -171,17 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("normalize", help="print the flattened program")
     p_norm.add_argument("file", help=".kan file or bundled corpus name")
-    p_norm.add_argument(
-        "--ir", action="store_true", help="print flat ops instead of surface syntax"
-    )
     p_norm.set_defaults(func=cmd_normalize)
 
-    p_modes = sub.add_parser("modes", help="print scheduled procedures")
-    p_modes.add_argument("file", help=".kan file or bundled corpus name")
-    add_query_flags(p_modes)
-    p_modes.set_defaults(func=cmd_modes)
-
-    p_conv = sub.add_parser("convert", help="emit directed-procedure text")
+    p_conv = sub.add_parser(
+        "convert", help="print the scheduled directed procedures"
+    )
     p_conv.add_argument("file", help=".kan file or bundled corpus name")
     add_query_flags(p_conv)
     p_conv.set_defaults(func=cmd_convert)
@@ -191,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         "file", nargs="?", default=None,
         help="limit to the suite of one corpus file (default: all suites)",
     )
-    p_bench.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
+    p_bench.add_argument(
+        "--json", metavar="PATH",
+        help="also write one JSON record per row and engine",
+    )
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -44,8 +44,10 @@ from .modes import (
     ModedOp,
     _as_direction,
     direction_str,
+    op_binds,
 )
 from .normal import FlatVar
+from .pretty import display_names
 from .schema import Hole, InvalidValue, Node, Term, VarId, holes, is_ground
 from .streams import (
     Stream,
@@ -285,20 +287,6 @@ class DirectedEngine:
             final = self._proc_first(proc, env)
             return None if final is None else emit(final)
         return lambda: bind(self._proc_stream(proc, env), emit)
-
-    def maybe_answer(self, rel: str, direction: Direction | str, ins):
-        """The one answer or None, for a procedure that is not nondet."""
-        direction = _as_direction(direction)
-        proc = self.table.proc(rel, direction)
-        if self.table.det(rel, direction) > Det.SEMIDET:
-            raise ConvertError(
-                f"{rel}^{direction_str(direction)} is nondet, "
-                "it has no single-answer form"
-            )
-        env = self._proc_first(proc, self._entry_env(proc, ins))
-        if env is None:
-            return None
-        return tuple(env[p] for p in proc.params)
 
     def _entry_env(self, proc: DirectedProc, ins) -> dict[VarId, Term]:
         in_params = [
@@ -655,9 +643,18 @@ def transitive_procs(
     return order
 
 
-def emit_proc(proc: DirectedProc, det: Det) -> str:
-    from .modes import _proc_names
+def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
+    seen: dict[VarId, None] = dict.fromkeys(proc.params)
+    for clause in proc.clauses:
+        for v in clause.locals:
+            seen.setdefault(v)
+        for op in clause.ops:
+            for v in op_binds(op):
+                seen.setdefault(v)
+    return display_names(tuple(seen))
 
+
+def emit_proc(proc: DirectedProc, det: Det) -> str:
     names = _proc_names(proc)
     ins = [
         names[p] for p, m in zip(proc.params, proc.direction) if m is Mode.IN

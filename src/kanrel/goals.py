@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Generic, Iterator, Mapping, Sequence, TypeVar
+from typing import Generic, Mapping, Sequence, TypeVar
 
 from .schema import (
     DuplicateName,
@@ -127,20 +127,6 @@ def check_term(schema: TermSchema, term: Term) -> str:
                 f"argument of {term.ctor} has type {got}, expected {want}"
             )
     return owner
-
-
-def goal_terms(goal: Goal) -> Iterator[Term]:
-    """Every term appearing in a goal, in syntactic order."""
-    if isinstance(goal, Unify):
-        yield goal.lhs
-        yield goal.rhs
-    elif isinstance(goal, (Conj, Disj)):
-        for g in goal.goals:
-            yield from goal_terms(g)
-    elif isinstance(goal, Call):
-        yield from goal.args
-    else:
-        yield from goal_terms(goal.body)
 
 
 def free_vars(goal: Goal) -> tuple[VarId, ...]:

@@ -46,10 +46,6 @@ from .schema import (
 from .streams import Stream, bind, from_iterator, mplus_all, stream_iter, unit
 
 
-class UnconstrainedAnswer(Exception):
-    """Strict querying found an answer with an unbound hole."""
-
-
 @dataclass(frozen=True)
 class State:
     """An immutable search state: bindings plus the next runtime variable id."""
@@ -261,14 +257,11 @@ def query_stream(
     program: Program,
     rel_name: str,
     args: tuple[Term, ...],
-    *,
-    strict: bool = False,
 ) -> Stream:
     """Stream of answer tuples (the query arguments, instantiated and ground).
 
     Holes in the arguments are query variables.  Answers that leave a hole
-    unconstrained are grounded by enumeration, or rejected with
-    UnconstrainedAnswer when strict.
+    unconstrained are grounded by enumeration.
     """
     relation = program.relation(rel_name)
     if len(args) != len(relation.params):
@@ -289,13 +282,6 @@ def query_stream(
 
     def emit(st: State) -> Stream:
         answer = tuple(deref(a, st.subst) for a in args)
-        if strict:
-            bad = [v for t in answer for v in holes(t)]
-            if bad:
-                raise UnconstrainedAnswer(
-                    f"answer leaves {bad[0]!r} unconstrained"
-                )
-            return unit(answer)
         return ground_answers(answer, program.schema)
 
     return bind(states, emit)
@@ -306,11 +292,9 @@ def run(
     rel_name: str,
     args: tuple[Term, ...],
     n: int | None = None,
-    *,
-    strict: bool = False,
 ) -> list[tuple[Term, ...]]:
     """First n answers (all answers when n is None; diverges if infinite)."""
-    answers = stream_iter(query_stream(program, rel_name, args, strict=strict))
+    answers = stream_iter(query_stream(program, rel_name, args))
     if n is None:
         return list(answers)
     return list(islice(answers, n))
@@ -320,7 +304,5 @@ def answer_iter(
     program: Program,
     rel_name: str,
     args: tuple[Term, ...],
-    *,
-    strict: bool = False,
 ) -> Iterator[tuple[Term, ...]]:
-    return stream_iter(query_stream(program, rel_name, args, strict=strict))
+    return stream_iter(query_stream(program, rel_name, args))

@@ -32,14 +32,11 @@ from .normal import (
     BaseOp,
     FlatCall,
     FlatClause,
-    FlatCtor,
     FlatTerm,
-    FlatUnify,
     FlatVar,
     NormalProgram,
     op_vars,
 )
-from .pretty import display_names
 from .schema import TermSchema, VarId, VarSupply
 
 
@@ -472,62 +469,3 @@ def _det_fixpoint(
         if nxt == dets:
             return dets
         dets = nxt
-
-
-# --- display ---
-
-
-def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
-    seen: dict[VarId, None] = dict.fromkeys(proc.params)
-    for clause in proc.clauses:
-        for v in clause.locals:
-            seen.setdefault(v)
-        for op in clause.ops:
-            for v in op_binds(op):
-                seen.setdefault(v)
-    return display_names(tuple(seen))
-
-
-def format_moded_op(op: ModedOp, names: dict[VarId, str]) -> str:
-    def n(v: VarId, mode: str) -> str:
-        return f"{names[v]}^{mode}"
-
-    if isinstance(op, Guard):
-        return f"{n(op.var, 'in')} == {n(op.other, 'in')}"
-    if isinstance(op, GuardCtor):
-        if not op.args:
-            return f"{n(op.var, 'in')} == {op.ctor}"
-        inner = ", ".join(n(a, "in") for a in op.args)
-        return f"{n(op.var, 'in')} == {op.ctor}({inner})"
-    if isinstance(op, Match):
-        inner = ", ".join(n(a, "out") for a in op.args)
-        return f"{n(op.var, 'in')} == {op.ctor}({inner})"
-    if isinstance(op, Assign):
-        if isinstance(op.term, FlatVar):
-            return f"{n(op.var, 'out')} == {n(op.term.var, 'in')}"
-        if not op.term.args:
-            return f"{n(op.var, 'out')} == {op.term.ctor}"
-        inner = ", ".join(n(a, "in") for a in op.term.args)
-        return f"{n(op.var, 'out')} == {op.term.ctor}({inner})"
-    if isinstance(op, GenerateVar):
-        return f"generate {names[op.var]} : {op.var.type}"
-    inner = ", ".join(
-        f"{names[a]}^{m.value}" for a, m in zip(op.args, op.direction)
-    )
-    return f"{op.rel}({inner})"
-
-
-def format_directed_proc(proc: DirectedProc, det: Det | None = None) -> str:
-    names = _proc_names(proc)
-    suffix = f" ({det})" if det is not None else ""
-    header = ", ".join(
-        f"{names[p]}^{m.value}: {p.type}" for p, m in zip(proc.params, proc.direction)
-    )
-    lines = [f"proc {proc.rel}^{direction_str(proc.direction)}({header}){suffix}:"]
-    for i, clause in enumerate(proc.clauses):
-        lines.append(f"  clause {i}:")
-        for op in clause.ops:
-            lines.append(f"    {format_moded_op(op, names)}")
-        if not clause.ops:
-            lines.append("    (always true)")
-    return "\n".join(lines)

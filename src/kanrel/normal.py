@@ -34,7 +34,7 @@ from .goals import (
     fold_goal,
 )
 from .schema import Hole, Node, Term, TermSchema, VarId, VarSupply
-from .pretty import display_names, relation_vars
+from .pretty import relation_vars
 
 
 @dataclass(frozen=True)
@@ -347,41 +347,6 @@ def embed(nprog: NormalProgram) -> Program:
         body = clauses[0] if len(clauses) == 1 else Disj(tuple(clauses))
         rels.append(Relation(rel.name, rel.params, body))
     return Program(nprog.schema, tuple(rels))
-
-
-def format_base_op(op: BaseOp, names: dict[VarId, str]) -> str:
-    if isinstance(op, FlatCall):
-        return f"{op.rel}({', '.join(names[a] for a in op.args)})"
-    if isinstance(op.term, FlatVar):
-        return f"{names[op.var]} == {names[op.term.var]}"
-    if not op.term.args:
-        return f"{names[op.var]} == {op.term.ctor}"
-    inner = ", ".join(names[a] for a in op.term.args)
-    return f"{names[op.var]} == {op.term.ctor}({inner})"
-
-
-def format_normal_relation(rel: NormalRelation) -> str:
-    seen: dict[VarId, None] = dict.fromkeys(rel.params)
-    for clause in rel.clauses:
-        for v in clause.locals:
-            seen.setdefault(v)
-    names = display_names(tuple(seen))
-    header = ", ".join(f"{names[p]}: {p.type}" for p in rel.params)
-    lines = [f"rel {rel.name}({header}):"]
-    for i, clause in enumerate(rel.clauses):
-        suffix = ""
-        if clause.locals:
-            suffix = " [" + ", ".join(names[v] for v in clause.locals) + "]"
-        lines.append(f"  clause {i}{suffix}:")
-        for op in clause.ops:
-            lines.append(f"    {format_base_op(op, names)}")
-        if not clause.ops:
-            lines.append("    (always true)")
-    return "\n".join(lines)
-
-
-def format_normal(nprog: NormalProgram) -> str:
-    return "\n\n".join(format_normal_relation(r) for r in nprog.relations) + "\n"
 
 
 def count_base_ops(nprog: NormalProgram) -> int:

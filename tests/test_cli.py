@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import platform
 import runpy
@@ -90,10 +91,11 @@ def test_run_reads_files_outside_the_bundle(tmp_path, capsys):
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "Nil"],
         ["frobnicate"],
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "O", "-n", "-1"],
+        ["modes", "nat", "--rel", "addo", "--dir", "iio"],
     ],
     ids=[
         "file", "rel", "dir", "missing-in", "hole-in", "wrong-type", "command",
-        "negative-n",
+        "negative-n", "modes-command",
     ],
 )
 def test_user_errors_exit_one(capsys, argv):
@@ -136,21 +138,22 @@ def test_normalize_surface_and_ir(capsys):
     code, surface, _ = run_cli(capsys, "normalize", "nat")
     assert code == 0
     assert "rel addo(x: Nat, y: Nat, z: Nat)" in surface
-    code, ir, _ = run_cli(capsys, "normalize", "nat", "--ir")
-    assert code == 0
-    assert "clause 0" in ir and "addo(x2, y, z2)" in ir
     code, again, _ = run_cli(capsys, "normalize", "nat")
     assert again == surface
+    # The surface form is the only printed form of the flat clauses.
+    code, out, err = run_cli(capsys, "normalize", "nat", "--ir")
+    assert (code, out) == (1, "")
+    assert err and "Traceback" not in err
 
 
 def test_modes_shows_scheduled_clause_order(capsys):
-    code, out, _ = run_cli(capsys, "modes", "nat", "--rel", "addo", "--dir", "iio")
+    code, out, _ = run_cli(capsys, "convert", "nat", "--rel", "addo", "--dir", "iio")
     assert code == 0
-    clause1 = out.split("clause 1:\n")[1].splitlines()
+    clause1 = out.split("    allOf:\n")[2].splitlines()
     assert [line.strip() for line in clause1[:3]] == [
-        "x^in == S(x2^out)",
-        "addo(x2^in, y^in, z2^out)",
-        "z^out == S(z2^in)",
+        "match S(x2) = x",
+        "(z2) := addo_iio(x2, y)",
+        "z := S(z2)",
     ]
 
 
@@ -164,20 +167,18 @@ def test_convert_emits_directed_procedure(capsys):
 # --- bench ---
 
 
-def test_bench_rows_and_csv(tmp_path, capsys, monkeypatch):
+def test_bench_rows_and_json(tmp_path, capsys, monkeypatch):
     rows = [r for r in bench.default_rows() if r.suite == "sort"][:1]
     monkeypatch.setattr(bench, "default_rows", lambda: rows)
-    csv_path = tmp_path / "rows.csv"
-    code, out, err = run_cli(capsys, "bench", "--csv", str(csv_path))
+    json_path = tmp_path / "rows.json"
+    code, out, err = run_cli(capsys, "bench", "--json", str(json_path))
     assert code == 0
     assert "sorto@oi" in out and "ratio" in out
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "suite,query,engine,param,median_ns,reps,answers_hash"
-    assert len(lines) == 3
-    ref_line, conv_line = lines[1].split(","), lines[2].split(",")
-    assert ref_line[2] == "ref" and conv_line[2] == "converted"
-    assert ref_line[6] == conv_line[6]
-    assert int(ref_line[5]) == 10
+    records = json.loads(json_path.read_text())
+    assert [r["engine"] for r in records] == ["ref", "converted"]
+    assert records[0]["hash"] == records[1]["hash"]
+    assert [r["reps"] for r in records] == [10, 10]
+    assert f"wrote {json_path}" in err
 
 
 def test_run_bench_script_writes_json(tmp_path, capsys, monkeypatch):
@@ -234,6 +235,24 @@ def test_deep_answer_prints_on_both_engines():
         )
         assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
         assert proc.stdout == want, engine
+
+
+# --- documentation ---
+
+
+def test_readme_documents_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    documented = [
+        line[len("### "):].strip()
+        for line in section.splitlines()
+        if line.startswith("### ")
+    ]
+    (sub,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert documented == list(sub.choices)
 
 
 # --- packaging ---

@@ -137,8 +137,7 @@ def test_maybe_matches_stream_path(addo_engine):
     for direction, ins in cases:
         via_stream = stream_all(addo_engine, "addo", direction, ins)
         assert len(via_stream) <= 1
-        maybe = addo_engine.maybe_answer("addo", direction, ins)
-        assert maybe == (via_stream[0] if via_stream else None)
+        assert addo_engine.run("addo", direction, ins, None) == via_stream
     for corpus, rel, direction in SEMIDET_PROCS:
         eng = engine_for(corpus, [(rel, direction)])
         assert eng.table.det(rel, direction) <= Det.SEMIDET
@@ -152,9 +151,9 @@ def test_maybe_matches_stream_path(addo_engine):
         for ins in itertools.product(*pools):
             via_stream = stream_all(eng, rel, direction, ins)
             assert len(via_stream) <= 1
-            maybe = eng.maybe_answer(rel, direction, ins)
-            assert maybe == (via_stream[0] if via_stream else None), (rel, ins)
-            answered += maybe is not None
+            answers = eng.run(rel, direction, ins, None)
+            assert answers == via_stream, (rel, ins)
+            answered += len(answers)
         assert answered, (rel, direction)
 
 
@@ -173,17 +172,10 @@ def test_maybe_runs_inline_singleton_generation():
     eng = DirectedEngine(table)
     # The guard u == w inspects isz's generated out, so it enumerates inline.
     assert any(src[0] == "isz" for src in eng.inline)
-    assert eng.maybe_answer("r", "i", (nat(0),)) == (nat(0),)
-    assert eng.maybe_answer("r", "i", (nat(1),)) is None
     for n, want in [(0, [(nat(0),)]), (1, [])]:
         assert stream_all(eng, "r", "i", (nat(n),)) == want
         assert eng.run("r", "i", (nat(n),), None) == want
         assert run(program, "r", (nat(n),), None) == want
-
-
-def test_maybe_answer_rejects_nondet(addo_engine):
-    with pytest.raises(ConvertError):
-        addo_engine.maybe_answer("addo", "ooi", (nat(3),))
 
 
 @settings(max_examples=60)

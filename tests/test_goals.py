@@ -23,7 +23,6 @@ from kanrel.goals import (
     check_term,
     fold_goal,
     free_vars,
-    goal_terms,
 )
 from kanrel.schema import DuplicateName, Hole, Node, VarSupply
 
@@ -145,12 +144,6 @@ class TestTraversals:
         prog = addo_program()
         rel = prog.relation("addo")
         assert free_vars(rel.body) == rel.params
-
-    def test_goal_terms_syntactic_order(self):
-        prog = addo_program()
-        rel = prog.relation("addo")
-        first_two = list(goal_terms(rel.body))[:2]
-        assert first_two == [Hole(rel.params[0]), Node("O")]
 
     def test_fold_goal_visits_every_node(self):
         class CountUnify(GoalInterpreter[int]):

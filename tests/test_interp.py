@@ -18,7 +18,6 @@ from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
 import kanrel.interp as interp_module
 from kanrel.interp import (
     State,
-    UnconstrainedAnswer,
     answer_iter,
     ground_answers,
     occurs,
@@ -162,15 +161,6 @@ class TestGrounding:
 
     def test_ground_answer_passes_through(self):
         assert take(ground_answers((nat(1), nat(2)), SCHEMA), 3) == [(nat(1), nat(2))]
-
-    def test_strict_mode_rejects_residual_holes(self):
-        with pytest.raises(UnconstrainedAnswer):
-            run(PROG, "addo", (h(0), h(1), h(2)), 1, strict=True)
-
-    def test_strict_mode_accepts_ground_answers(self):
-        assert run(PROG, "addo", (nat(1), nat(1), h(0)), strict=True) == [
-            (nat(1), nat(1), nat(2))
-        ]
 
 
 class TestQueryValidation:

@@ -22,7 +22,6 @@ from kanrel.modes import (
     _FAILED,
     analyze,
     direction_str,
-    format_directed_proc,
     op_binds,
     parse_direction,
 )
@@ -181,22 +180,6 @@ def test_addo_ioo_exact():
         Match(x, "S", (x2,)),
         DirCall("addo", parse_direction("ioo"), (x2, y, z2)),
         Assign(z, FlatCtor("S", (z2,))),
-    )
-
-
-def test_addo_display():
-    table = table_for("nat", [("addo", "iio")])
-    proc = table.proc("addo", "iio")
-    text = format_directed_proc(proc, table.det("addo", "iio"))
-    assert text == (
-        "proc addo^iio(x^in: Nat, y^in: Nat, z^out: Nat) (semidet):\n"
-        "  clause 0:\n"
-        "    x^in == O\n"
-        "    z^out == y^in\n"
-        "  clause 1:\n"
-        "    x^in == S(x2^out)\n"
-        "    addo(x2^in, y^in, z2^out)\n"
-        "    z^out == S(z2^in)"
     )
 
 

@@ -18,7 +18,6 @@ from kanrel.normal import (
     count_base_ops,
     count_source_goals,
     embed,
-    format_normal_relation,
     normalize_program,
 )
 from kanrel.parser import parse_program
@@ -90,21 +89,6 @@ def test_nested_constant_gets_a_local():
         FlatUnify(sorted_, FlatCtor("Nil", ())),
         FlatUnify(out, FlatCtor("Cons", (x, local))),
         FlatUnify(local, FlatCtor("Nil", ())),
-    )
-
-
-def test_format_addo():
-    nprog = normalize_program(corpus_program("nat"))
-    text = format_normal_relation(nprog.relation("addo"))
-    assert text == (
-        "rel addo(x: Nat, y: Nat, z: Nat):\n"
-        "  clause 0:\n"
-        "    x == O\n"
-        "    y == z\n"
-        "  clause 1 [x2, z2]:\n"
-        "    x == S(x2)\n"
-        "    z == S(z2)\n"
-        "    addo(x2, y, z2)"
     )
 
 
