@@ -121,8 +121,18 @@ def _natlist(xs: list[int]) -> Node:
     return out
 
 
+def _comb(leaves: int) -> Node:
+    """The left comb: a tree with ``leaves`` leaves, every right child a leaf."""
+    out = Node("Leaf")
+    for _ in range(leaves - 1):
+        out = Node("Node", (out, Node("Leaf")))
+    return out
+
+
 def default_rows() -> list[RowSpec]:
-    """The full suite: addition both ways, sorting backwards, typechecking."""
+    """The full suite: addition both ways, sorting backwards, typechecking,
+    and rebalancing trees (building balanced trees of n leaves, rebalancing
+    a comb, enumerating tree pairs)."""
     rows: list[RowSpec] = []
     eight = _nat(8)
     for n in (16, 32, 64, 128, 256, 512, 1024):
@@ -166,6 +176,17 @@ def default_rows() -> list[RowSpec]:
                     (ctx, Node("TInt")), n, f"n={n}", tag,
                 )
             )
+    for n in (4, 8, 12):
+        rows.append(
+            RowSpec("balance", "balance", "balanced", "oi", (_nat(n),), None, f"n={n}")
+        )
+    rows.append(
+        RowSpec(
+            "balance", "balance", "balanceo", "io",
+            (_comb(8),), None, "leaves=8", "comb",
+        )
+    )
+    rows.append(RowSpec("balance", "balance", "balanceo", "oo", (), 50, "n=50"))
     return rows
 
 

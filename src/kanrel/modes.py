@@ -12,15 +12,18 @@ operations where every variable is bound before it is consumed:
 * ``DirCall(r, d, a)``   -- call in direction d, in-arguments bound.
 
 Scheduling is greedy: at every step the runnable operation with the best
-rank is emitted (checks, then assignments, then matches, then calls in an
-already-known or in-progress direction, then calls requiring a fresh
-direction inference, then operations that need generation), with the source
-position breaking ties.  Out parameters still unbound after the last
-operation are generated.  A procedure's determinism is the least fixed
-point of: generation is nondet (semidet for singleton types), checks are
-semidet, assignments are det, calls take the callee's determinism, and a
-multi-clause procedure is nondet unless every clause pair tests some bound
-parameter against distinct constructors.
+rank is emitted, with the source position breaking ties.  The ranks, best
+first: guards, assignments, matches, checks (calls with every argument
+bound, which only test, whether or not their direction is analyzed yet),
+calls in an already-known or in-progress direction, calls requiring a fresh
+direction inference, and operations that need generation.  So a check runs
+as soon as its inputs are bound, ahead of any call that binds.  Out
+parameters still unbound after the last operation are generated.  A
+procedure's determinism is the least fixed point of: generation is nondet
+(semidet for singleton types), guards and matches are semidet, assignments
+are det, calls take the callee's determinism, and a multi-clause procedure
+is nondet unless every clause pair tests some bound parameter against
+distinct constructors.
 """
 
 from __future__ import annotations
@@ -306,9 +309,11 @@ class _Analyzer:
             state = self.memo.get((op.rel, direction))
             if state is _FAILED:
                 return None
-            if state is _IN_PROGRESS or isinstance(state, DirectedProc):
-                return 4, (call,), (), None
-            return 5, (call,), (), (op.rel, direction)
+            analyzed = state is _IN_PROGRESS or isinstance(state, DirectedProc)
+            infer_key = None if analyzed else (op.rel, direction)
+            if Mode.OUT not in direction:
+                return 4, (call,), (), infer_key
+            return (5 if analyzed else 6), (call,), (), infer_key
 
         term = op.term
         if isinstance(term, FlatVar):
@@ -319,7 +324,7 @@ class _Analyzer:
                 return 2, (Assign(w, FlatVar(v)),), (), None
             if w in bound:
                 return 2, (Assign(v, FlatVar(w)),), (), None
-            return 6, (GenerateVar(v), Assign(w, FlatVar(v))), (), None
+            return 7, (GenerateVar(v), Assign(w, FlatVar(v))), (), None
 
         v = op.var
         have = [a in bound for a in term.args]
@@ -345,7 +350,7 @@ class _Analyzer:
         if all(have):
             return 2, (Assign(v, term),), (), None
         gens = tuple(GenerateVar(a) for a, known in zip(term.args, have) if not known)
-        return 6, gens + (Assign(v, term),), (), None
+        return 7, gens + (Assign(v, term),), (), None
 
 
 class ModeTable:
@@ -372,9 +377,6 @@ class ModeTable:
         if key not in self.dets:
             raise ModeError(f"{rel}^{direction_str(key[1])} was not analyzed")
         return self.dets[key]
-
-    def keys(self) -> list[tuple[str, Direction]]:
-        return sorted(self.procs, key=lambda k: (k[0], direction_str(k[1])))
 
 
 def _as_direction(direction: Direction | str) -> Direction:

@@ -205,8 +205,10 @@ def test_run_bench_script_writes_json(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_unknown_suite_is_user_error(capsys):
-    code, _, err = run_cli(capsys, "bench", "balance")
+    code, _, err = run_cli(capsys, "bench", "nosuch")
     assert code == 1
+    assert "nosuch" in err
+    # The message lists the corpora that have a suite.
     assert "balance" in err
 
 

@@ -349,6 +349,26 @@ def test_balanceo_oo_alignment():
     assert conv[0] == (leaf, leaf)
 
 
+def test_balanced_oi_tests_the_split_before_building_subtrees(monkeypatch):
+    # near^ii runs right after addo^ooi proposes a split, so only near
+    # splits are expanded; with near after both recursive calls this query
+    # made 1 174 720 bind calls.
+    eng = engine_for("balance", [("balanced", "oi")])
+    calls = 0
+    real = streams_module.bind
+
+    def counting(s, f):
+        nonlocal calls
+        calls += 1
+        return real(s, f)
+
+    monkeypatch.setattr(streams_module, "bind", counting)
+    got = eng.run("balanced", "oi", (nat(10),), None)
+    monkeypatch.setattr(streams_module, "bind", real)
+    assert len(got) == 16
+    assert calls < 10_000, calls
+
+
 def test_leaves_io():
     eng = engine_for("balance", [("leaves", "io")])
     tree = Node("Node", (Node("Leaf", ()), Node("Node", (Node("Leaf", ()), Node("Leaf", ())))))

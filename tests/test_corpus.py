@@ -55,6 +55,26 @@ def is_balanced(t: Node) -> bool:
     )
 
 
+def balanced_count(n: int) -> int:
+    """Trees with n leaves whose every node splits its leaves within one."""
+    if n == 1:
+        return 1
+    half = n // 2
+    count = balanced_count(half) * balanced_count(n - half)
+    return count if n % 2 == 0 else 2 * count
+
+
+def all_trees(leaves: int) -> list[Node]:
+    if leaves == 1:
+        return [Node("Leaf", ())]
+    return [
+        Node("Node", (left, right))
+        for k in range(1, leaves)
+        for left in all_trees(k)
+        for right in all_trees(leaves - k)
+    ]
+
+
 def multiset_permutations(values: list[int]) -> int:
     n = factorial(len(values))
     for v in set(values):
@@ -171,6 +191,29 @@ def test_balanceo_oo_pairs_are_balanced():
     for x, y in got:
         assert leaf_count(x) == leaf_count(y)
         assert is_balanced(y)
+
+
+def test_balanced_oi_matches_ref_and_count():
+    program = corpus_program("balance")
+    eng = directed_engine("balance", (("balanced", "oi"),))
+    for n in range(1, 9):
+        conv = eng.run("balanced", "oi", (nat(n),), None)
+        ref = run(program, "balanced", (qhole(0, "Tree"), nat(n)), None)
+        assert sorted(map(str, conv)) == sorted(map(str, ref)), n
+        assert len(set(map(str, conv))) == len(conv) == balanced_count(n), n
+        for t, m in conv:
+            assert m == nat(n) and leaf_count(t) == n and is_balanced(t)
+
+
+def test_balanceo_io_matches_ref_on_every_small_tree():
+    program = corpus_program("balance")
+    eng = directed_engine("balance", (("balanceo", "io"),))
+    for leaves in range(1, 7):
+        for x in all_trees(leaves):
+            conv = eng.run("balanceo", "io", (x,), None)
+            ref = run(program, "balanceo", (x, qhole(0, "Tree")), None)
+            assert sorted(map(str, conv)) == sorted(map(str, ref)), str(x)
+            assert len(conv) == balanced_count(leaves), str(x)
 
 
 # --- sorting ---

@@ -7,8 +7,6 @@ order for mature answers, one delay per call) and noted inline.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,6 @@ from conftest import addo_program, deref_oracle, loop_program, nat, unnat
 from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
 import kanrel.interp as interp_module
 from kanrel.interp import (
-    State,
     answer_iter,
     ground_answers,
     occurs,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from kanrel.modes import (
@@ -31,6 +33,7 @@ from kanrel.parser import parse_program
 from conftest import corpus_program
 
 ALL_ADDO_DIRS = ["iii", "iio", "ioi", "ioo", "oii", "oio", "ooi", "ooo"]
+CORPORA = ["nat", "sort", "balance", "typecheck"]
 
 
 def table_for(name: str, requests) -> ModeTable:
@@ -283,7 +286,11 @@ def test_inserto_iio_schedule():
     proc = table.proc("inserto", "iio")
     assert kinds(proc.clauses[0]) == ["GuardCtor", "Assign", "Assign"]
     assert kinds(proc.clauses[1]) == ["Assign", "Match", "DirCall"]
-    assert kinds(proc.clauses[2]) == ["Match", "DirCall", "Assign", "DirCall"]
+    # The gto test reads only x and h, so it runs before the recursion.
+    assert kinds(proc.clauses[2]) == ["Match", "DirCall", "DirCall", "Assign"]
+    check, recurse = proc.clauses[2].ops[1:3]
+    assert (check.rel, direction_str(check.direction)) == ("gto", "ii")
+    assert (recurse.rel, direction_str(recurse.direction)) == ("inserto", "iio")
     validate_proc(proc)
 
 
@@ -295,8 +302,28 @@ def test_balanceo_oo_schedule():
     leaves, balanced = clause.ops
     assert (leaves.rel, direction_str(leaves.direction)) == ("leaves", "oo")
     assert (balanced.rel, direction_str(balanced.direction)) == ("balanced", "oi")
-    for key in table.keys():
-        validate_proc(table.proc(*key))
+    for proc in table.procs.values():
+        validate_proc(proc)
+
+
+def test_balanced_oi_schedule():
+    table = table_for("balance", [("balanced", "oi")])
+    proc = table.proc("balanced", "oi")
+    (n,) = (p for p, m in zip(proc.params, proc.direction) if m is Mode.IN)
+    ops = proc.clauses[1].ops
+    assert kinds(proc.clauses[1]) == [
+        "DirCall", "Match", "Match", "DirCall", "DirCall", "DirCall", "Assign",
+    ]
+    split, _, _, near, left, right, _ = ops
+    calls = [(op.rel, direction_str(op.direction)) for op in (split, near, left, right)]
+    assert calls == [
+        ("addo", "ooi"), ("near", "ii"), ("balanced", "oi"), ("balanced", "oi"),
+    ]
+    assert split.args[2] == n
+    # near tests the split that addo just made, before either subtree exists.
+    assert near.args == split.args[:2]
+    assert (left.args[1], right.args[1]) == split.args[:2]
+    validate_proc(proc)
 
 
 def test_typo_oi_schedule():
@@ -387,5 +414,55 @@ def test_corpus_wide_validation():
     }
     for name, reqs in requests.items():
         table = table_for(name, reqs)
-        for key in table.keys():
-            validate_proc(table.proc(*key))
+        for proc in table.procs.values():
+            validate_proc(proc)
+
+
+def schedulable_corpus_tables():
+    """Each (corpus, relation, direction) that schedules, with its table."""
+    out = []
+    for name in CORPORA:
+        nprog = normalize_program(corpus_program(name))
+        for rel in nprog.relations:
+            for chars in itertools.product("io", repeat=len(rel.params)):
+                d = "".join(chars)
+                try:
+                    table = analyze(nprog, [(rel.name, d)])
+                except SchedulingStuck:
+                    continue
+                out.append(((name, rel.name, d), table))
+    return out
+
+
+def late_checks(proc: DirectedProc) -> list[tuple[int, int]]:
+    """(clause, op) of each check scheduled after a binding call or a generate
+    that followed the op binding the check's last argument."""
+    late = []
+    for ci, clause in enumerate(proc.clauses):
+        bound_at = {
+            p: -1 for p, m in zip(proc.params, proc.direction) if m is Mode.IN
+        }
+        for i, op in enumerate(clause.ops):
+            if isinstance(op, DirCall) and not op.outs:
+                ready = max(bound_at[a] for a in op.args)
+                between = clause.ops[ready + 1 : i]
+                if any(
+                    isinstance(b, GenerateVar) or (isinstance(b, DirCall) and b.outs)
+                    for b in between
+                ):
+                    late.append((ci, i))
+            for v in op_binds(op):
+                bound_at[v] = i
+    return late
+
+
+def test_checks_run_as_soon_as_their_inputs_are_bound():
+    pairs = schedulable_corpus_tables()
+    assert len(pairs) == 72
+    late = [
+        (query, key, where)
+        for query, table in pairs
+        for key, proc in table.procs.items()
+        for where in late_checks(proc)
+    ]
+    assert late == []

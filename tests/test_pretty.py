@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from conftest import addo_program, nat, schema_from, NAT_DECLS
-from kanrel.goals import Conj, Disj, GoalBuilder, Unify
+from kanrel.goals import Conj, Disj, GoalBuilder
 from kanrel.pretty import (
     display_names,
     format_goal,
