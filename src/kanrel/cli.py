@@ -73,8 +73,27 @@ def _parse_inputs(program: Program, rel: str, direction: str, texts: list[str]):
     return ins
 
 
-def _tree(term: Term) -> dict:
-    return {"ctor": term.ctor, "args": [_tree(a) for a in term.args]}
+def _json_tree(term: Term) -> str:
+    """Compact JSON of a ground term's constructor tree.
+
+    The text is what ``json.dumps`` with ``separators=(",", ":")`` makes of
+    ``{"ctor": ..., "args": [...]}``.  Iterative, so any depth prints.
+    """
+    out: list[str] = []
+    # Terms still to write, and the literal text between them.
+    pending: list[Term | str] = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        out.append(f'{{"ctor":{json.dumps(t.ctor)},"args":[')
+        pending.append("]}")
+        for i in range(len(t.args) - 1, -1, -1):
+            pending.append(t.args[i])
+            if i:
+                pending.append(",")
+    return "".join(out)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -90,8 +109,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         table = analyze(normalize_program(program), [(args.rel, args.dir)])
         answers = DirectedEngine(table).run(args.rel, args.dir, ins, args.n)
     if args.json:
-        payload = [[_tree(t) for t in answer] for answer in answers]
-        print(json.dumps(payload, indent=2))
+        rows = ("[" + ",".join(map(_json_tree, answer)) + "]" for answer in answers)
+        print("[" + ",".join(rows) + "]")
     else:
         for answer in answers:
             print("(" + ", ".join(format_term(t) for t in answer) + ")")

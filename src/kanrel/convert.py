@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
+from .goals import TypeMismatch, check_term
 from .modes import (
     Assign,
     Det,
@@ -302,7 +303,12 @@ class DirectedEngine:
         for p, value in zip(in_params, ins):
             if not is_ground(value):
                 raise InvalidValue(f"input for {p!r} must be ground, got {value}")
-            self.schema.check_value(value, p.type)
+            got = check_term(self.schema, value)
+            if got != p.type:
+                raise TypeMismatch(
+                    f"input for {p!r} of {proc.rel} has type {got},"
+                    f" expected {p.type}"
+                )
             env[p] = value
         return env
 

@@ -13,6 +13,11 @@ is a single atom, usually parenthesized.  Fresh variables carry no type
 annotation: elaboration infers their types from constructor slots, call
 signatures, and variable-variable unifications, and rejects relations that
 leave a variable's type undetermined.
+
+Elaboration is the one well-formedness check of a program: it rejects
+unknown names, arity and type errors, unbound and shadowing variables, and
+parameters of undeclared type.  Later stages take the ``Program`` it
+returns as well-formed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .goals import (
     ArityMismatch,
@@ -35,7 +40,6 @@ from .goals import (
     UnboundVariable,
     Unify,
     UnknownRelation,
-    check_program,
 )
 from .schema import (
     CtorDecl,
@@ -413,6 +417,10 @@ class _Elaborator:
         for pname, ptype in srel.params:
             if pname in scope:
                 raise DuplicateName(f"relation {srel.name} repeats parameter {pname}")
+            if ptype not in self.schema.types_by_name:
+                raise TypeMismatch(
+                    f"parameter {pname} of {srel.name} has undeclared type {ptype}"
+                )
             b = self.new_binder(pname)
             self.solver.set_type(b.uid, ptype, f"parameter {pname} of {srel.name}")
             scope[pname] = b
@@ -532,9 +540,7 @@ def parse_program(text: str, supply: VarSupply | None = None) -> Program:
         signatures[srel.name] = tuple(ptype for _, ptype in srel.params)
     elab = _Elaborator(schema, signatures, supply or VarSupply())
     relations = tuple(elab.elaborate(srel) for srel in srels)
-    program = Program(schema, relations)
-    check_program(program)
-    return program
+    return Program(schema, relations)
 
 
 def parse_query_terms(

@@ -301,28 +301,6 @@ class TermSchema:
             yield from self.values_of_size(type_name, size)
             size += 1
 
-    def check_value(self, term: Term, type_name: str) -> None:
-        """Check that a term (holes allowed) fits the given type."""
-        self._require_type(type_name)
-        if isinstance(term, Hole):
-            if term.var.type != type_name:
-                raise InvalidValue(
-                    f"hole {term.var!r} has type {term.var.type}, expected {type_name}"
-                )
-            return
-        ctor, owner = self.ctor(term.ctor)
-        if owner != type_name:
-            raise InvalidValue(
-                f"constructor {term.ctor} builds {owner}, expected {type_name}"
-            )
-        if len(term.args) != len(ctor.arg_types):
-            raise InvalidValue(
-                f"constructor {term.ctor} takes {len(ctor.arg_types)} arguments,"
-                f" got {len(term.args)}"
-            )
-        for arg, arg_type in zip(term.args, ctor.arg_types):
-            self.check_value(arg, arg_type)
-
 
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     """Tuples of k positive ints summing to total, ascending lexicographic."""

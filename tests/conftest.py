@@ -9,9 +9,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from kanrel.goals import GoalBuilder, Program, Relation
+from kanrel.goals import Call, Conj, Disj, Fresh, Program, Relation, Unify
 from kanrel.parser import load_corpus
-from kanrel.schema import CtorDecl, Hole, Node, Term, TermSchema, TypeDecl, VarId
+from kanrel.schema import (
+    CtorDecl,
+    Hole,
+    Node,
+    Term,
+    TermSchema,
+    TypeDecl,
+    VarId,
+    VarSupply,
+)
 
 
 @lru_cache(maxsize=None)
@@ -100,38 +109,43 @@ def unnatlist(term: Node) -> list[int]:
 
 def addo_program() -> Program:
     """x + y = z over unary naturals, built without the parser."""
-    schema = schema_from(NAT_DECLS)
-    b = GoalBuilder(schema, {"addo": ["Nat", "Nat", "Nat"]})
-    x, y, z = b.var("Nat", "x"), b.var("Nat", "y"), b.var("Nat", "z")
-    x2, z2 = b.var("Nat", "x2"), b.var("Nat", "z2")
+    supply = VarSupply()
+    names = ("x", "y", "z", "x2", "z2")
+    x, y, z, x2, z2 = (Hole(supply.fresh("Nat", n)) for n in names)
     # z peels before the recursive call so that a ground third argument
     # bounds the recursion depth even when x is unknown.
-    body = b.disj(
-        b.conj(b.unify(x, Node("O")), b.unify(y, z)),
-        b.fresh(
-            [x2, z2],
-            b.conj(
-                b.unify(x, b.ctor("S", x2)),
-                b.unify(z, b.ctor("S", z2)),
-                b.call("addo", x2, y, z2),
+    body = Disj(
+        (
+            Conj((Unify(x, Node("O")), Unify(y, z))),
+            Fresh(
+                (x2.var, z2.var),
+                Conj(
+                    (
+                        Unify(x, Node("S", (x2,))),
+                        Unify(z, Node("S", (z2,))),
+                        Call("addo", (x2, y, z2)),
+                    )
+                ),
             ),
-        ),
+        )
     )
-    return Program(schema, (Relation("addo", (x.var, y.var, z.var), body),))
+    return Program(
+        schema_from(NAT_DECLS), (Relation("addo", (x.var, y.var, z.var), body),)
+    )
 
 
 def loop_program() -> Program:
     """A relation with one diverging disjunct and one immediate answer."""
-    schema = schema_from(NAT_DECLS)
-    b = GoalBuilder(schema, {"loopo": ["Nat"], "valo": ["Nat"]})
-    lx = b.var("Nat", "x")
-    vx = b.var("Nat", "x")
+    supply = VarSupply()
+    lx, vx = Hole(supply.fresh("Nat", "x")), Hole(supply.fresh("Nat", "x"))
     return Program(
-        schema,
+        schema_from(NAT_DECLS),
         (
-            Relation("loopo", (lx.var,), b.call("loopo", lx)),
+            Relation("loopo", (lx.var,), Call("loopo", (lx,))),
             Relation(
-                "valo", (vx.var,), b.disj(b.call("loopo", vx), b.unify(vx, Node("O")))
+                "valo",
+                (vx.var,),
+                Disj((Call("loopo", (vx,)), Unify(vx, Node("O")))),
             ),
         ),
     )

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import natlist
 from kanrel import bench, cli
+from kanrel.interp import query_args, run
+from kanrel.parser import load_corpus
+from kanrel.pretty import format_term
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -67,6 +71,26 @@ def test_run_json_emits_constructor_trees(capsys):
     assert code == 0 and again == out
 
 
+def json_tree(term) -> dict:
+    return {"ctor": term.ctor, "args": [json_tree(a) for a in term.args]}
+
+
+@pytest.mark.parametrize("engine", ["ref", "converted"])
+def test_run_json_is_compact_json_of_the_trees(capsys, engine):
+    # Six permutations of a three-element list: answers with two-argument
+    # constructors, several per run.
+    program = load_corpus("sort")
+    ys = natlist([0, 1, 2])
+    query = query_args(program.relation("sorto"), "oi", (ys,))
+    payload = [[json_tree(t) for t in answer] for answer in run(program, "sorto", query)]
+    code, out, _ = run_cli(
+        capsys, "run", "sort", "--rel", "sorto", "--dir", "oi",
+        "--in", format_term(ys), "--json", "--engine", engine,
+    )
+    assert len(payload) == 6
+    assert (code, out) == (0, json.dumps(payload, separators=(",", ":")) + "\n")
+
+
 def test_run_reads_files_outside_the_bundle(tmp_path, capsys):
     source = tmp_path / "pair.kan"
     source.write_text(
@@ -103,6 +127,14 @@ def test_user_errors_exit_one(capsys, argv):
     assert code == 1
     assert err
     assert "Traceback" not in err
+
+
+def test_undeclared_parameter_type_is_a_user_error(tmp_path, capsys):
+    source = tmp_path / "foo.kan"
+    source.write_text("rel p(x: Foo) = x == x.\n")
+    code, out, err = run_cli(capsys, "normalize", str(source))
+    assert (code, out) == (1, "")
+    assert "Foo" in err and "Traceback" not in err
 
 
 def test_run_defaults_to_the_search_engine():
@@ -233,6 +265,26 @@ def test_deep_answer_prints_on_both_engines():
         proc = subprocess.run(
             [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
              "--dir", "iio", "--engine", engine, "--in", a, "--in", a],
+            capture_output=True, text=True,
+        )
+        assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
+        assert proc.stdout == want, engine
+
+
+def test_deep_answer_prints_as_json_on_both_engines():
+    # Writing the trees recursively raised RecursionError (exit 2) here.
+    # json.loads would recurse past the limit too, so the expected text is
+    # built directly.
+    a = "S(" * 7900 + "O" + ")" * 7900
+
+    def nat_json(n: int) -> str:
+        return '{"ctor":"S","args":[' * n + '{"ctor":"O","args":[]}' + "]}" * n
+
+    want = "[[" + ",".join([nat_json(7900), nat_json(7900), nat_json(15800)]) + "]]\n"
+    for engine in ("ref", "converted"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
+             "--dir", "iio", "--engine", engine, "--in", a, "--in", a, "--json"],
             capture_output=True, text=True,
         )
         assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")

@@ -16,7 +16,8 @@ from kanrel.convert import (
     residual_plan,
     transitive_procs,
 )
-from kanrel.interp import run
+from kanrel.goals import ArityMismatch, TypeMismatch
+from kanrel.interp import query_args, run
 from kanrel.modes import Det, ModeError, analyze
 from kanrel.normal import normalize_program
 from kanrel.parser import parse_program
@@ -462,6 +463,32 @@ def test_entry_validation(addo_engine):
         addo_engine.run("addo", "iio", (Node("Nil", ()), nat(1)), 1)
     with pytest.raises(ModeError):
         addo_engine.run("addo", "oo", (nat(1),), 1)
+
+
+def ref_sorto_oi(ins):
+    program = corpus_program("sort")
+    return run(program, "sorto", query_args(program.relation("sorto"), "oi", ins), 1)
+
+
+def converted_sorto_oi(ins):
+    return engine_for("sort", [("sorto", "oi")]).run("sorto", "oi", ins, 1)
+
+
+@pytest.mark.parametrize(
+    "engine", [ref_sorto_oi, converted_sorto_oi], ids=["ref", "converted"]
+)
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (nat(1), TypeMismatch),
+        (Node("Cons", (Node("Nil"), Node("Nil"))), TypeMismatch),
+        (Node("S", (Node("O"), Node("O"))), ArityMismatch),
+    ],
+    ids=["nat-for-natlist", "natlist-in-nat-slot", "ctor-arity"],
+)
+def test_engines_reject_ill_typed_inputs_alike(engine, value, error):
+    with pytest.raises(error):
+        engine((value,))
 
 
 # --- emission ---

@@ -11,7 +11,6 @@ from kanrel.goals import (
     TypeMismatch,
     UnboundVariable,
     UnknownRelation,
-    check_program,
 )
 from kanrel.interp import run
 from kanrel.parser import (
@@ -46,7 +45,6 @@ class TestCorpus:
     @pytest.mark.parametrize("name", ["nat", "sort", "balance", "typecheck"])
     def test_every_corpus_file_elaborates(self, name):
         prog = corpus_program(name)
-        check_program(prog)
         assert prog.relations
 
     def test_missing_corpus_file(self):
@@ -163,6 +161,10 @@ class TestElaborationErrors:
             parse_program(
                 self.HEADER + "rel p(x: Nat) = x == O.\nrel p(y: Nat) = y == O."
             )
+
+    def test_undeclared_parameter_type(self):
+        with pytest.raises(TypeMismatch, match="Foo"):
+            parse_program(self.HEADER + "rel p(x: Foo) = x == x.")
 
     def test_duplicate_parameter(self):
         with pytest.raises(DuplicateName):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from conftest import addo_program, nat, schema_from, NAT_DECLS
-from kanrel.goals import Conj, Disj, GoalBuilder
+from conftest import addo_program, nat
+from kanrel.goals import Conj, Disj, Fresh, Relation, Unify
 from kanrel.pretty import (
     display_names,
     format_goal,
@@ -42,8 +42,7 @@ def test_display_names_disambiguate_collisions():
 
 
 def make_unify(name: str):
-    b = GoalBuilder(schema_from(NAT_DECLS))
-    return b.unify(b.var("Nat", name), nat(0))
+    return Unify(Hole(VarSupply().fresh("Nat", name)), nat(0))
 
 
 def test_disjunction_inside_conjunction_is_parenthesized():
@@ -57,12 +56,12 @@ def test_nested_disjunction_keeps_grouping():
 
 
 def test_fresh_body_parenthesized_only_when_compound():
-    b = GoalBuilder(schema_from(NAT_DECLS))
-    v = b.var("Nat", "v")
-    w = b.var("Nat", "w")
-    atom = b.fresh([v], b.unify(v, nat(0)))
+    supply = VarSupply()
+    v = Hole(supply.fresh("Nat", "v"))
+    w = Hole(supply.fresh("Nat", "w"))
+    atom = Fresh((v.var,), Unify(v, nat(0)))
     assert format_goal(atom) == "fresh v . v == O"
-    compound = b.fresh([v, w], b.conj(b.unify(v, nat(0)), b.unify(w, nat(1))))
+    compound = Fresh((v.var, w.var), Conj((Unify(v, nat(0)), Unify(w, nat(1)))))
     assert format_goal(compound) == "fresh v, w . (v == O, w == S(O))"
 
 
@@ -82,10 +81,6 @@ def test_program_rendering_includes_type_declarations():
 
 
 def test_single_clause_relation_renders_on_one_line():
-    prog = addo_program()
-    b = GoalBuilder(prog.schema)
-    v = b.var("Nat", "x")
-    from kanrel.goals import Relation
-
-    rel = Relation("zeroo", (v.var,), b.unify(v, nat(0)))
+    v = Hole(VarSupply().fresh("Nat", "x"))
+    rel = Relation("zeroo", (v.var,), Unify(v, nat(0)))
     assert format_relation(rel) == "rel zeroo(x: Nat) = x == O."

@@ -309,27 +309,3 @@ class TestDeepTerms:
             assert node.ctor == "S"
             depth, node = depth + 1, node.args[0]
         assert (depth, node) == (self.DEPTH + 1, Node("O"))
-
-
-class TestCheckValue:
-    schema = schema_from(LIST_DECLS)
-
-    def test_accepts_fitting_terms(self):
-        self.schema.check_value(nat(2), "Nat")
-        self.schema.check_value(Node("Cons", (Hole(VarId(0, "Nat")), Node("Nil"))), "NatList")
-
-    def test_rejects_wrong_owner(self):
-        with pytest.raises(InvalidValue):
-            self.schema.check_value(Node("Nil"), "Nat")
-
-    def test_rejects_bad_arity(self):
-        with pytest.raises(InvalidValue):
-            self.schema.check_value(Node("S", ()), "Nat")
-
-    def test_rejects_unknown_ctor(self):
-        with pytest.raises(UnknownCtor):
-            self.schema.check_value(Node("Succ", (Node("O"),)), "Nat")
-
-    def test_rejects_hole_of_wrong_type(self):
-        with pytest.raises(InvalidValue):
-            self.schema.check_value(Hole(VarId(0, "NatList")), "Nat")
