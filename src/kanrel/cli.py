@@ -21,11 +21,11 @@ from . import bench as bench_mod
 from .convert import DirectedEngine, emit_text
 from .goals import GoalError, Program
 from .interp import query_args, run as ref_run
-from .modes import ModeError, analyze
+from .modes import ModeError, analyze, check_direction
 from .normal import embed, normalize_program
-from .parser import ParseError, corpus_names, load_corpus, parse_program, parse_query_terms
+from .parser import ParseError, corpus_names, load_corpus, parse_ground_term, parse_program
 from .pretty import format_program, format_term
-from .schema import SchemaError, Term, holes
+from .schema import SchemaError, Term
 
 USER_ERRORS = (ParseError, SchemaError, GoalError, ModeError, OSError)
 
@@ -47,30 +47,11 @@ def _load_program(spec: str) -> Program:
     )
 
 
-def _check_direction(program: Program, rel: str, direction: str) -> None:
-    params = program.relation(rel).params
-    if len(direction) != len(params) or set(direction) - {"i", "o"}:
-        raise UserError(
-            f"--dir must be {len(params)} characters of 'i'/'o' for {rel},"
-            f" got {direction!r}"
-        )
-
-
-def _parse_inputs(program: Program, rel: str, direction: str, texts: list[str]):
-    params = program.relation(rel).params
-    in_types = [p.type for p, m in zip(params, direction) if m == "i"]
-    if len(texts) != len(in_types):
-        raise UserError(
-            f"{rel}@{direction} takes {len(in_types)} --in terms, got {len(texts)}"
-        )
-    ins = tuple(
-        parse_query_terms(text, program.schema, [want])[0]
-        for text, want in zip(texts, in_types)
-    )
-    for term in ins:
-        if holes(term):
-            raise UserError(f"--in terms must be ground, got {format_term(term)}")
-    return ins
+def _parse_inputs(rel: str, direction: str, texts: list[str]) -> tuple[Term, ...]:
+    want = direction.count("i")
+    if len(texts) != want:
+        raise UserError(f"{rel}@{direction} takes {want} --in terms, got {len(texts)}")
+    return tuple(map(parse_ground_term, texts))
 
 
 def _json_tree(term: Term) -> str:
@@ -100,10 +81,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 0:
         raise UserError(f"-n must be a non-negative answer limit, got {args.n}")
     program = _load_program(args.file)
-    _check_direction(program, args.rel, args.dir)
-    ins = _parse_inputs(program, args.rel, args.dir, args.inputs)
+    relation = program.relation(args.rel)
+    check_direction(args.dir, len(relation.params))
+    ins = _parse_inputs(args.rel, args.dir, args.inputs)
     if args.engine == "ref":
-        query = query_args(program.relation(args.rel), args.dir, ins)
+        query = query_args(relation, args.dir, ins)
         answers = ref_run(program, args.rel, query, args.n)
     else:
         table = analyze(normalize_program(program), [(args.rel, args.dir)])
@@ -126,7 +108,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    _check_direction(program, args.rel, args.dir)
     table = analyze(normalize_program(program), [(args.rel, args.dir)])
     sys.stdout.write(emit_text(table, args.rel, args.dir))
     return 0

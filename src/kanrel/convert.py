@@ -35,16 +35,12 @@ from .modes import (
     DirCall,
     DirectedClause,
     DirectedProc,
-    Direction,
     GenerateVar,
     Guard,
     GuardCtor,
     Match,
-    Mode,
     ModeTable,
     ModedOp,
-    _as_direction,
-    direction_str,
     op_binds,
 )
 from .normal import FlatVar
@@ -75,10 +71,6 @@ class ResidualViolation(ConvertError):
 SourceId = tuple[str, str, int, int]
 
 
-def _proc_key(proc: DirectedProc) -> tuple[str, str]:
-    return proc.rel, direction_str(proc.direction)
-
-
 def _clause_taint(
     proc: DirectedProc,
     ci: int,
@@ -86,7 +78,6 @@ def _clause_taint(
     out_res: dict[tuple[str, str], tuple[frozenset, ...]],
 ) -> tuple[set[SourceId], dict[VarId, frozenset]]:
     clause = proc.clauses[ci]
-    rel, dstr = _proc_key(proc)
     taint: dict[VarId, frozenset] = {}
     violations: set[SourceId] = set()
 
@@ -113,16 +104,15 @@ def _clause_taint(
                     acc |= t(a)
                 taint[op.var] = acc
         elif isinstance(op, GenerateVar):
-            source: SourceId = (rel, dstr, ci, oi)
+            source: SourceId = (proc.rel, proc.direction, ci, oi)
             taint[op.var] = frozenset() if source in inline else frozenset({source})
         elif isinstance(op, DirCall):
-            callee_key = (op.rel, direction_str(op.direction))
-            callee_res = out_res.get(callee_key)
+            callee_res = out_res.get((op.rel, op.direction))
             for a, m in zip(op.args, op.direction):
-                if m is Mode.IN:
+                if m == "i":
                     violations |= t(a)
             for pos, (a, m) in enumerate(zip(op.args, op.direction)):
-                if m is Mode.OUT:
+                if m == "o":
                     taint[a] = callee_res[pos] if callee_res else frozenset()
     return violations, taint
 
@@ -131,19 +121,18 @@ def _out_residuals(
     table: ModeTable, inline: set[SourceId]
 ) -> dict[tuple[str, str], tuple[frozenset, ...]]:
     res = {
-        (_proc_key(proc)): tuple(frozenset() for _ in proc.params)
-        for proc in table.procs.values()
+        key: tuple(frozenset() for _ in proc.params)
+        for key, proc in table.procs.items()
     }
     changed = True
     while changed:
         changed = False
-        for proc in table.procs.values():
-            key = _proc_key(proc)
+        for key, proc in table.procs.items():
             per_param = [set(s) for s in res[key]]
             for ci in range(len(proc.clauses)):
                 _, taint = _clause_taint(proc, ci, inline, res)
                 for i, (p, m) in enumerate(zip(proc.params, proc.direction)):
-                    if m is Mode.OUT:
+                    if m == "o":
                         per_param[i] |= taint.get(p, frozenset())
             new = tuple(frozenset(s) for s in per_param)
             if new != res[key]:
@@ -197,17 +186,16 @@ class DirectedEngine:
         # ones whose answers hold no symbolic hole (two uses of a shared
         # answer would be grounded together, and answers lost).
         self._shareable = {
-            _proc_key(proc)
-            for proc in table.procs.values()
-            if table.det(proc.rel, proc.direction) > Det.SEMIDET
-            and not any(self._out_res[_proc_key(proc)])
+            key
+            for key in table.procs
+            if table.dets[key] > Det.SEMIDET and not any(self._out_res[key])
         }
         self._plans = {
-            _proc_key(proc): [
+            key: [
                 self._compile_clause(proc, ci, clause)
                 for ci, clause in enumerate(proc.clauses)
             ]
-            for proc in table.procs.values()
+            for key, proc in table.procs.items()
         }
         self._shared = {
             key
@@ -218,7 +206,7 @@ class DirectedEngine:
     # --- entry points ---
 
     def run(
-        self, rel: str, direction: Direction | str, ins, n: int | None = None
+        self, rel: str, direction: str, ins, n: int | None = None
     ) -> list[tuple[Term, ...]]:
         """First n answers (all answers when n is None; diverges if infinite)."""
         answers = self.answer_iter(rel, direction, ins)
@@ -226,13 +214,12 @@ class DirectedEngine:
             return list(answers)
         return list(itertools.islice(answers, n))
 
-    def answer_iter(self, rel: str, direction: Direction | str, ins):
+    def answer_iter(self, rel: str, direction: str, ins):
         return stream_iter(self.answers_stream(rel, direction, ins))
 
-    def answers_stream(self, rel: str, direction: Direction | str, ins) -> Stream:
-        direction = _as_direction(direction)
+    def answers_stream(self, rel: str, direction: str, ins) -> Stream:
         raw = self.raw_stream(rel, direction, ins)
-        if not any(self._out_res[rel, direction_str(direction)]):
+        if not any(self._out_res[rel, direction]):
             # No generation source can reach an out param, so answers are
             # already ground and grounding would map each one to itself.
             return raw
@@ -275,9 +262,8 @@ class DirectedEngine:
 
         return at(0, {})
 
-    def raw_stream(self, rel: str, direction: Direction | str, ins) -> Stream:
+    def raw_stream(self, rel: str, direction: str, ins) -> Stream:
         """Answer tuples before grounding; symbolic holes may remain."""
-        direction = _as_direction(direction)
         proc = self.table.proc(rel, direction)
         env = self._entry_env(proc, ins)
 
@@ -290,13 +276,11 @@ class DirectedEngine:
         return lambda: bind(self._proc_stream(proc, env), emit)
 
     def _entry_env(self, proc: DirectedProc, ins) -> dict[VarId, Term]:
-        in_params = [
-            p for p, m in zip(proc.params, proc.direction) if m is Mode.IN
-        ]
+        in_params = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
         ins = tuple(ins)
         if len(ins) != len(in_params):
             raise ConvertError(
-                f"{proc.rel}^{direction_str(proc.direction)} takes "
+                f"{proc.rel}^{proc.direction} takes "
                 f"{len(in_params)} inputs, got {len(ins)}"
             )
         env: dict[VarId, Term] = {}
@@ -324,7 +308,7 @@ class DirectedEngine:
     # per-op bind chain, so answer order is unchanged.
 
     def _proc_stream(self, proc: DirectedProc, env: dict) -> Stream:
-        key = _proc_key(proc)
+        key = proc.rel, proc.direction
         plans = self._plans[key]
         if key not in self._shared:
             return mplus_all([self._run_plan(plan, env) for plan in plans])
@@ -363,7 +347,7 @@ class DirectedEngine:
         generation fills only singleton types), so walking the steps' first
         functions in order finds the one answer the stream would yield.
         """
-        for plan in self._plans[_proc_key(proc)]:
+        for plan in self._plans[proc.rel, proc.direction]:
             got = env
             for _, _, first in plan:
                 got = first(got)
@@ -406,7 +390,7 @@ class DirectedEngine:
             if isinstance(op, DirCall):
                 flush(partial(self._compile_call, proc, op))
             elif isinstance(op, GenerateVar) and (
-                (*_proc_key(proc), ci, oi) in self.inline
+                (proc.rel, proc.direction, ci, oi) in self.inline
             ):
                 flush(partial(self._compile_enumerate, op))
             else:
@@ -521,12 +505,12 @@ class DirectedEngine:
         ins = tuple(
             (p, a)
             for a, p, m in zip(op.args, callee.params, op.direction)
-            if m is Mode.IN
+            if m == "i"
         )
         outs = tuple(
             (a, p)
             for a, p, m in zip(op.args, callee.params, op.direction)
-            if m is Mode.OUT
+            if m == "o"
         )
         post = tuple(post)
         proc_stream, proc_first = self._proc_stream, self._proc_first
@@ -558,7 +542,7 @@ class DirectedEngine:
 
         same_call = (
             callee is proc
-            and _proc_key(proc) in self._shareable
+            and (proc.rel, proc.direction) in self._shareable
             and all(p == a for p, a in ins)
         )
         if not same_call:
@@ -627,12 +611,11 @@ def _compile_plug(term: Term):
 
 
 def transitive_procs(
-    table: ModeTable, rel: str, direction: Direction | str
+    table: ModeTable, rel: str, direction: str
 ) -> list[DirectedProc]:
     """The requested procedure followed by everything it calls, in BFS order."""
-    direction = _as_direction(direction)
     start = table.proc(rel, direction)
-    seen = {_proc_key(start)}
+    seen = {(rel, direction)}
     order = [start]
     queue = [start]
     while queue:
@@ -640,7 +623,7 @@ def transitive_procs(
         for clause in proc.clauses:
             for op in clause.ops:
                 if isinstance(op, DirCall):
-                    key = (op.rel, direction_str(op.direction))
+                    key = (op.rel, op.direction)
                     if key not in seen:
                         seen.add(key)
                         callee = table.proc(op.rel, op.direction)
@@ -662,16 +645,12 @@ def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
 
 def emit_proc(proc: DirectedProc, det: Det) -> str:
     names = _proc_names(proc)
-    ins = [
-        names[p] for p, m in zip(proc.params, proc.direction) if m is Mode.IN
-    ]
-    outs = [
-        names[p] for p, m in zip(proc.params, proc.direction) if m is Mode.OUT
-    ]
-    rel, dstr = _proc_key(proc)
+    ins = [names[p] for p, m in zip(proc.params, proc.direction) if m == "i"]
+    outs = [names[p] for p, m in zip(proc.params, proc.direction) if m == "o"]
     combinator = "firstOf" if det <= Det.SEMIDET else "interleaveOf"
+    name = f"{proc.rel}_{proc.direction}"
     lines = [
-        f"proc {rel}_{dstr}({', '.join(ins)}) -> ({', '.join(outs)}):  # {det}",
+        f"proc {name}({', '.join(ins)}) -> ({', '.join(outs)}):  # {det}",
         f"  {combinator}:",
     ]
     for clause in proc.clauses:
@@ -696,13 +675,9 @@ def _emit_op(op: ModedOp, names: dict[VarId, str]) -> str:
         return f"{names[op.var]} := {_emit_ctor(op.term.ctor, op.term.args, names)}"
     if isinstance(op, GenerateVar):
         return f"generate {names[op.var]} : {op.var.type}"
-    ins = [
-        names[a] for a, m in zip(op.args, op.direction) if m is Mode.IN
-    ]
-    outs = [
-        names[a] for a, m in zip(op.args, op.direction) if m is Mode.OUT
-    ]
-    call = f"{op.rel}_{direction_str(op.direction)}({', '.join(ins)})"
+    ins = [names[a] for a, m in zip(op.args, op.direction) if m == "i"]
+    outs = [names[a] for a, m in zip(op.args, op.direction) if m == "o"]
+    call = f"{op.rel}_{op.direction}({', '.join(ins)})"
     if outs:
         return f"({', '.join(outs)}) := {call}"
     return f"check {call}"
@@ -714,7 +689,7 @@ def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> s
     return f"{ctor}({', '.join(names[a] for a in args)})"
 
 
-def emit_text(table: ModeTable, rel: str, direction: Direction | str) -> str:
+def emit_text(table: ModeTable, rel: str, direction: str) -> str:
     procs = transitive_procs(table, rel, direction)
     chunks = [
         emit_proc(p, table.det(p.rel, p.direction)) for p in procs

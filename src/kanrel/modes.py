@@ -1,8 +1,9 @@
 """Direction analysis over flat clauses.
 
-Given a relation in superhomogeneous form and a direction (one ``in``/``out``
-mode per parameter), each clause is rescheduled into a list of moded
-operations where every variable is bound before it is consumed:
+Given a relation in superhomogeneous form and a direction, a string of one
+``i`` (in) or ``o`` (out) per parameter such as ``"iio"``, each clause is
+rescheduled into a list of moded operations where every variable is bound
+before it is consumed:
 
 * ``Guard(v, w)``        -- both bound, succeeds when equal;
 * ``GuardCtor(v, c, a)`` -- v and all argument variables bound;
@@ -29,7 +30,7 @@ distinct constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from .normal import (
     BaseOp,
@@ -51,34 +52,12 @@ class SchedulingStuck(ModeError):
     """No runnable operation remains for some clause in this direction."""
 
 
-class Mode(Enum):
-    IN = "in"
-    OUT = "out"
-
-    @property
-    def char(self) -> str:
-        return "i" if self is Mode.IN else "o"
-
-
-Direction = tuple[Mode, ...]
-
-
-def parse_direction(text: str, arity: int | None = None) -> Direction:
-    modes = []
-    for ch in text:
-        if ch == "i":
-            modes.append(Mode.IN)
-        elif ch == "o":
-            modes.append(Mode.OUT)
-        else:
-            raise ModeError(f"direction {text!r} may only contain 'i' and 'o'")
-    if arity is not None and len(modes) != arity:
-        raise ModeError(f"direction {text!r} does not fit arity {arity}")
-    return tuple(modes)
-
-
-def direction_str(direction: Direction) -> str:
-    return "".join(m.char for m in direction)
+def check_direction(direction: str, arity: int) -> None:
+    """Raise ModeError unless direction is arity characters of 'i'/'o'."""
+    if len(direction) != arity or set(direction) - {"i", "o"}:
+        raise ModeError(
+            f"direction {direction!r} must be {arity} characters of 'i'/'o'"
+        )
 
 
 class Det(IntEnum):
@@ -124,14 +103,12 @@ class GenerateVar:
 @dataclass(frozen=True)
 class DirCall:
     rel: str
-    direction: Direction
+    direction: str
     args: tuple[VarId, ...]
 
     @property
     def outs(self) -> tuple[VarId, ...]:
-        return tuple(
-            a for a, m in zip(self.args, self.direction) if m is Mode.OUT
-        )
+        return tuple(a for a, m in zip(self.args, self.direction) if m == "o")
 
 
 ModedOp = Guard | GuardCtor | Match | Assign | GenerateVar | DirCall
@@ -156,7 +133,7 @@ class DirectedClause:
 @dataclass(frozen=True)
 class DirectedProc:
     rel: str
-    direction: Direction
+    direction: str
     params: tuple[VarId, ...]
     clauses: tuple[DirectedClause, ...]
 
@@ -172,13 +149,13 @@ class _Choice:
     index: int
     mops: tuple[ModedOp, ...]
     new_locals: tuple[VarId, ...]
-    infer_key: tuple[str, Direction] | None
+    infer_key: tuple[str, str] | None
 
 
 class _Analyzer:
     def __init__(self, nprog: NormalProgram) -> None:
         self.nprog = nprog
-        self.memo: dict[tuple[str, Direction], object] = {}
+        self.memo: dict[tuple[str, str], object] = {}
         top = 0
         for rel in nprog.relations:
             for v in rel.params:
@@ -193,23 +170,19 @@ class _Analyzer:
 
     # --- public entry ---
 
-    def infer(self, rel_name: str, direction: Direction) -> DirectedProc:
+    def infer(self, rel_name: str, direction: str) -> DirectedProc:
         key = (rel_name, direction)
         state = self.memo.get(key)
         if isinstance(state, DirectedProc):
             return state
         if state is _FAILED:
             raise SchedulingStuck(
-                f"{rel_name}^{direction_str(direction)} is not schedulable"
+                f"{rel_name}^{direction} is not schedulable"
             )
         if state is _IN_PROGRESS:
             raise ModeError(f"infer re-entered for {rel_name}")
         rel = self.nprog.relation(rel_name)
-        if len(direction) != len(rel.params):
-            raise ModeError(
-                f"{rel_name} has arity {len(rel.params)}, "
-                f"direction {direction_str(direction)} does not fit"
-            )
+        check_direction(direction, len(rel.params))
         self.memo[key] = _IN_PROGRESS
         try:
             clauses = tuple(
@@ -224,7 +197,7 @@ class _Analyzer:
         self.memo[key] = proc
         return proc
 
-    def _purge(self, failed: tuple[str, Direction]) -> None:
+    def _purge(self, failed: tuple[str, str]) -> None:
         # Procedures scheduled against a direction that later failed must be
         # rebuilt from scratch, since they would now schedule differently.
         dropped = {failed}
@@ -250,11 +223,11 @@ class _Analyzer:
     def _schedule(
         self,
         rel_name: str,
-        direction: Direction,
+        direction: str,
         params: tuple[VarId, ...],
         clause: FlatClause,
     ) -> DirectedClause:
-        bound = {p for p, m in zip(params, direction) if m is Mode.IN}
+        bound = {p for p, m in zip(params, direction) if m == "i"}
         remaining: list[tuple[int, BaseOp]] = list(enumerate(clause.ops))
         locals_out = list(clause.locals)
         ops: list[ModedOp] = []
@@ -263,7 +236,7 @@ class _Analyzer:
             if choice is None:
                 stuck = ", ".join(str(op) for _, op in remaining)
                 raise SchedulingStuck(
-                    f"{rel_name}^{direction_str(direction)}: "
+                    f"{rel_name}^{direction}: "
                     f"no runnable operation among {stuck}"
                 )
             del remaining[choice.index]
@@ -272,7 +245,7 @@ class _Analyzer:
             for mop in choice.mops:
                 bound.update(op_binds(mop))
         for p, m in zip(params, direction):
-            if m is Mode.OUT and p not in bound:
+            if m == "o" and p not in bound:
                 ops.append(GenerateVar(p))
                 bound.add(p)
         return DirectedClause(tuple(locals_out), tuple(ops))
@@ -300,18 +273,16 @@ class _Analyzer:
 
     def _classify(
         self, op: BaseOp, bound: set[VarId]
-    ) -> tuple[int, tuple[ModedOp, ...], tuple[VarId, ...], tuple[str, Direction] | None] | None:
+    ) -> tuple[int, tuple[ModedOp, ...], tuple[VarId, ...], tuple[str, str] | None] | None:
         if isinstance(op, FlatCall):
-            direction = tuple(
-                Mode.IN if a in bound else Mode.OUT for a in op.args
-            )
+            direction = "".join("i" if a in bound else "o" for a in op.args)
             call = DirCall(op.rel, direction, op.args)
             state = self.memo.get((op.rel, direction))
             if state is _FAILED:
                 return None
             analyzed = state is _IN_PROGRESS or isinstance(state, DirectedProc)
             infer_key = None if analyzed else (op.rel, direction)
-            if Mode.OUT not in direction:
+            if "o" not in direction:
                 return 4, (call,), (), infer_key
             return (5 if analyzed else 6), (call,), (), infer_key
 
@@ -359,40 +330,34 @@ class ModeTable:
     def __init__(
         self,
         nprog: NormalProgram,
-        procs: dict[tuple[str, Direction], DirectedProc],
-        dets: dict[tuple[str, Direction], Det],
+        procs: dict[tuple[str, str], DirectedProc],
+        dets: dict[tuple[str, str], Det],
     ) -> None:
         self.nprog = nprog
         self.procs = procs
         self.dets = dets
 
-    def proc(self, rel: str, direction: Direction | str) -> DirectedProc:
-        key = (rel, _as_direction(direction))
-        if key not in self.procs:
-            raise ModeError(f"{rel}^{direction_str(key[1])} was not analyzed")
-        return self.procs[key]
+    def proc(self, rel: str, direction: str) -> DirectedProc:
+        proc = self.procs.get((rel, direction))
+        if proc is None:
+            raise ModeError(f"{rel}^{direction} was not analyzed")
+        return proc
 
-    def det(self, rel: str, direction: Direction | str) -> Det:
-        key = (rel, _as_direction(direction))
-        if key not in self.dets:
-            raise ModeError(f"{rel}^{direction_str(key[1])} was not analyzed")
-        return self.dets[key]
-
-
-def _as_direction(direction: Direction | str) -> Direction:
-    if isinstance(direction, str):
-        return parse_direction(direction)
-    return direction
+    def det(self, rel: str, direction: str) -> Det:
+        det = self.dets.get((rel, direction))
+        if det is None:
+            raise ModeError(f"{rel}^{direction} was not analyzed")
+        return det
 
 
 def analyze(
     nprog: NormalProgram,
-    requests: list[tuple[str, Direction | str]],
+    requests: list[tuple[str, str]],
 ) -> ModeTable:
     """Schedule the requested procedures (plus everything they call)."""
     analyzer = _Analyzer(nprog)
     for rel, direction in requests:
-        analyzer.infer(rel, _as_direction(direction))
+        analyzer.infer(rel, direction)
     procs = {
         key: value
         for key, value in analyzer.memo.items()
@@ -406,7 +371,7 @@ def analyze(
 
 
 def _op_det(
-    op: ModedOp, dets: dict[tuple[str, Direction], Det], schema: TermSchema
+    op: ModedOp, dets: dict[tuple[str, str], Det], schema: TermSchema
 ) -> Det:
     if isinstance(op, (Guard, GuardCtor, Match)):
         return Det.SEMIDET
@@ -435,9 +400,7 @@ def _pair_exclusive(a: DirectedClause, b: DirectedClause, in_params) -> bool:
 
 
 def _clauses_exclusive(proc: DirectedProc) -> bool:
-    in_params = [
-        p for p, m in zip(proc.params, proc.direction) if m is Mode.IN
-    ]
+    in_params = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
     clauses = proc.clauses
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
@@ -447,7 +410,7 @@ def _clauses_exclusive(proc: DirectedProc) -> bool:
 
 
 def _proc_det(
-    proc: DirectedProc, dets: dict[tuple[str, Direction], Det], schema: TermSchema
+    proc: DirectedProc, dets: dict[tuple[str, str], Det], schema: TermSchema
 ) -> Det:
     clause_dets = [
         max((_op_det(op, dets, schema) for op in c.ops), default=Det.DET)
@@ -463,8 +426,8 @@ def _proc_det(
 
 
 def _det_fixpoint(
-    procs: dict[tuple[str, Direction], DirectedProc], schema: TermSchema
-) -> dict[tuple[str, Direction], Det]:
+    procs: dict[tuple[str, str], DirectedProc], schema: TermSchema
+) -> dict[tuple[str, str], Det]:
     dets = {key: Det.DET for key in procs}
     while True:
         nxt = {key: _proc_det(proc, dets, schema) for key, proc in procs.items()}

@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
 
 from .goals import (
     ArityMismatch,
@@ -45,7 +44,6 @@ from .schema import (
     CtorDecl,
     DuplicateName,
     Hole,
-    InvalidValue,
     Node,
     Term,
     TermSchema,
@@ -69,7 +67,6 @@ _TOKEN_RE = re.compile(
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*)
     | (?P<eqeq>==)
-    | (?P<hole>_)
     | (?P<sym>[(),.|:=])
     | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
     | (?P<bad>.)
@@ -80,7 +77,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "sym" | "eqeq" | "hole" | "eof"
+    kind: str  # "ident" | "sym" | "eqeq" | "eof"
     text: str
     line: int
     col: int
@@ -317,12 +314,8 @@ class _Parser:
         rhs = self.parse_term()
         return SUnify(lhs, rhs)
 
-    def parse_term(self, allow_hole: bool = False) -> STerm:
+    def parse_term(self) -> STerm:
         tok = self.advance()
-        if tok.kind == "hole":
-            if not allow_hole:
-                raise ParseError(f"'_' is only allowed in query terms ({tok.at()})")
-            return SVar("_")
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise ParseError(f"expected a term, found {tok.text!r} at {tok.at()}")
         if tok.text[0].islower():
@@ -330,10 +323,10 @@ class _Parser:
         args: list[STerm] = []
         if self.at_sym("("):
             self.advance()
-            args.append(self.parse_term(allow_hole))
+            args.append(self.parse_term())
             while self.at_sym(","):
                 self.advance()
-                args.append(self.parse_term(allow_hole))
+                args.append(self.parse_term())
             self.expect_sym(")")
         return SCtor(tok.text, tuple(args))
 
@@ -528,7 +521,7 @@ def _term_from(walked, ids) -> Term:
     return Node(walked[1], tuple(_term_from(a, ids) for a in walked[2]))
 
 
-def parse_program(text: str, supply: VarSupply | None = None) -> Program:
+def parse_program(text: str) -> Program:
     """Parse and elaborate a full program; raises on any malformation."""
     parser = _Parser(text)
     type_decls, srels = parser.parse_program_decls()
@@ -538,59 +531,38 @@ def parse_program(text: str, supply: VarSupply | None = None) -> Program:
         if srel.name in signatures:
             raise DuplicateName(f"relation {srel.name} is declared twice")
         signatures[srel.name] = tuple(ptype for _, ptype in srel.params)
-    elab = _Elaborator(schema, signatures, supply or VarSupply())
+    elab = _Elaborator(schema, signatures, VarSupply())
     relations = tuple(elab.elaborate(srel) for srel in srels)
     return Program(schema, relations)
 
 
-def parse_query_terms(
-    text: str,
-    schema: TermSchema,
-    expected_types: Sequence[str],
-    supply: VarSupply | None = None,
-) -> tuple[Term, ...]:
-    """Parse comma-separated ground-or-hole terms, typed top-down.
+def parse_ground_term(text: str) -> Node:
+    """Parse one ground term, such as a query input; variables are rejected.
 
-    ``_`` stands for a hole; its type comes from the position it fills.
-    Named variables are not allowed in query terms.
+    The term is not typed here: the engines type their inputs.  The Node is
+    built without recursion, in post-order over the surface term.
     """
-    supply = supply or VarSupply()
     parser = _Parser(text)
-    sterms = [parser.parse_term(allow_hole=True)]
-    while parser.at_sym(","):
-        parser.advance()
-        sterms.append(parser.parse_term(allow_hole=True))
+    sterm = parser.parse_term()
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected {trailing.text!r} at {trailing.at()}")
-    if len(sterms) != len(expected_types):
-        raise ArityMismatch(
-            f"expected {len(expected_types)} terms, got {len(sterms)}"
-        )
-
-    def build(sterm: STerm, want: str) -> Term:
-        if isinstance(sterm, SVar):
-            if sterm.name != "_":
-                raise ParseError(
-                    f"named variable {sterm.name!r} not allowed in query terms; use _"
-                )
-            return Hole(supply.fresh(want))
-        decl, owner = schema.ctor(sterm.name)
-        if owner != want:
-            raise InvalidValue(
-                f"constructor {sterm.name} builds {owner}, expected {want}"
-            )
-        if len(sterm.args) != len(decl.arg_types):
-            raise ArityMismatch(
-                f"constructor {sterm.name} takes {len(decl.arg_types)} arguments,"
-                f" got {len(sterm.args)}"
-            )
-        return Node(
-            sterm.name,
-            tuple(build(a, slot) for a, slot in zip(sterm.args, decl.arg_types)),
-        )
-
-    return tuple(build(s, t) for s, t in zip(sterms, expected_types))
+    built: list[Node] = []
+    # Surface terms still to build; True once their arguments are built.
+    pending: list[tuple[STerm, bool]] = [(sterm, False)]
+    while pending:
+        s, args_built = pending.pop()
+        if isinstance(s, SVar):
+            raise ParseError(f"variable {s.name!r} is not allowed in a ground term")
+        if args_built:
+            cut = len(built) - len(s.args)
+            node = Node(s.name, tuple(built[cut:]))
+            del built[cut:]
+            built.append(node)
+        else:
+            pending.append((s, True))
+            pending.extend((a, False) for a in reversed(s.args))
+    return built[0]
 
 
 def corpus_names() -> tuple[str, ...]:

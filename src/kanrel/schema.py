@@ -149,8 +149,8 @@ class TermSchema:
                             f"constructor {ctor.name} refers to undeclared type {arg}"
                         )
         self._check_inhabited()
-        self._cycle_types = self._types_on_cycles()
         self._reachable: dict[str, frozenset[str]] = {}
+        self._cycle_types = self._types_on_cycles()
         self._max_size: dict[str, int] = {}
         self._counts: dict[str, int] = {}
         self._by_size: dict[tuple[str, int], tuple[Node, ...]] = {}
@@ -181,17 +181,12 @@ class TermSchema:
         return out
 
     def _types_on_cycles(self) -> frozenset[str]:
-        on_cycle: set[str] = set()
-        for start in self.types_by_name:
-            seen: set[str] = set()
-            frontier = self._edges(start)
-            while frontier - seen:
-                nxt = frontier - seen
-                seen |= nxt
-                frontier = set().union(*(self._edges(t) for t in nxt))
-            if start in seen:
-                on_cycle.add(start)
-        return frozenset(on_cycle)
+        # A type is on a cycle when one of its argument types reaches it.
+        return frozenset(
+            name
+            for name in self.types_by_name
+            if any(name in self.reachable_types(t) for t in self._edges(name))
+        )
 
     def _require_type(self, type_name: str) -> TypeDecl:
         decl = self.types_by_name.get(type_name)

@@ -38,7 +38,7 @@ from conftest import (
 
 from kanrel import bench
 from kanrel.interp import query_args, query_stream, run
-from kanrel.modes import Assign, Det, DirCall, GenerateVar, Match, direction_str
+from kanrel.modes import Assign, Det, DirCall, GenerateVar, Match
 from kanrel.normal import (
     check_normal,
     count_base_ops,
@@ -137,7 +137,7 @@ def test_criterion_2_mode_analysis_orders_dataflow():
         assert [type(op) for op in ops] == [Match, DirCall, Assign], direction
         assert ops[0].var == proc.params[matched], direction
         assert ops[1].rel == "addo"
-        assert direction_str(ops[1].direction) == direction
+        assert ops[1].direction == direction
         assert ops[2].var == proc.params[assigned], direction
     base = table.proc("addo", "ioo").clauses[0].ops
     assert any(isinstance(op, GenerateVar) for op in base)

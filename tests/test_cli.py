@@ -129,6 +129,37 @@ def test_user_errors_exit_one(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("engine", ["ref", "converted"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nat", "--rel", "addo", "--dir", "ioo", "--in", "x"],
+        ["nat", "--rel", "addo", "--dir", "ioo", "--in", "Foo"],
+        ["nat", "--rel", "addo", "--dir", "ioo", "--in", "S(O, O)"],
+        ["sort", "--rel", "sorto", "--dir", "oi", "--in", "O"],
+    ],
+    ids=["variable", "unknown-ctor", "wrong-arity", "wrong-owner"],
+)
+def test_bad_input_exits_one(capsys, argv, engine):
+    code, out, err = run_cli(capsys, "run", *argv, "--engine", engine)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deep_ill_typed_input_exits_one():
+    # Building the input term recursively raised RecursionError (exit 2).
+    # A subprocess, as in the deep-answer tests below.
+    deep = "S(" * 10_000 + "O" + ")" * 10_000
+    for engine in ("ref", "converted"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
+             "--dir", "iio", "--engine", engine, "--in", deep, "--in", "Nil"],
+            capture_output=True, text=True,
+        )
+        assert (engine, proc.returncode, proc.stdout) == (engine, 1, "")
+        assert "Nil" in proc.stderr and "Traceback" not in proc.stderr, engine
+
+
 def test_undeclared_parameter_type_is_a_user_error(tmp_path, capsys):
     source = tmp_path / "foo.kan"
     source.write_text("rel p(x: Foo) = x == x.\n")

@@ -517,7 +517,7 @@ def test_emit_nondet_uses_interleave(addo_engine):
 
 def test_transitive_emission_order(sort_engine):
     procs = transitive_procs(sort_engine.table, "sorto", "oi")
-    names = [(p.rel, "".join(m.char for m in p.direction)) for p in procs]
+    names = [(p.rel, p.direction) for p in procs]
     assert names == [
         ("sorto", "oi"),
         ("inserto", "ooi"),

@@ -16,16 +16,14 @@ from kanrel.modes import (
     Guard,
     GuardCtor,
     Match,
-    Mode,
     ModeError,
     ModeTable,
     SchedulingStuck,
     _Analyzer,
     _FAILED,
     analyze,
-    direction_str,
+    check_direction,
     op_binds,
-    parse_direction,
 )
 from kanrel.normal import FlatCtor, FlatVar, normalize_program
 from kanrel.parser import parse_program
@@ -48,9 +46,7 @@ def kinds(clause: DirectedClause) -> list[str]:
 def validate_proc(proc: DirectedProc) -> None:
     """Every op must consume only bound variables and bind fresh ones."""
     for clause in proc.clauses:
-        bound = {
-            p for p, m in zip(proc.params, proc.direction) if m is Mode.IN
-        }
+        bound = {p for p, m in zip(proc.params, proc.direction) if m == "i"}
         for op in clause.ops:
             if isinstance(op, Guard):
                 assert op.var in bound and op.other in bound
@@ -69,7 +65,7 @@ def validate_proc(proc: DirectedProc) -> None:
                 assert op.var not in bound
             elif isinstance(op, DirCall):
                 for a, m in zip(op.args, op.direction):
-                    if m is Mode.IN:
+                    if m == "i":
                         assert a in bound
                     else:
                         assert a not in bound
@@ -81,13 +77,13 @@ def validate_proc(proc: DirectedProc) -> None:
 # --- direction plumbing ---
 
 
-def test_parse_direction():
-    assert parse_direction("iio") == (Mode.IN, Mode.IN, Mode.OUT)
-    assert direction_str(parse_direction("oio")) == "oio"
+def test_check_direction():
+    check_direction("iio", 3)
+    check_direction("", 0)
     with pytest.raises(ModeError):
-        parse_direction("ix")
+        check_direction("ix", 2)
     with pytest.raises(ModeError):
-        parse_direction("ii", arity=3)
+        check_direction("ii", 3)
 
 
 def test_table_rejects_unknown_requests():
@@ -146,7 +142,7 @@ def test_addo_iio_exact():
     x2, z2 = c1.locals
     assert c1.ops == (
         Match(x, "S", (x2,)),
-        DirCall("addo", parse_direction("iio"), (x2, y, z2)),
+        DirCall("addo", "iio", (x2, y, z2)),
         Assign(z, FlatCtor("S", (z2,))),
     )
 
@@ -163,7 +159,7 @@ def test_addo_ooi_exact():
     x2, z2 = c1.locals
     assert c1.ops == (
         Match(z, "S", (z2,)),
-        DirCall("addo", parse_direction("ooi"), (x2, y, z2)),
+        DirCall("addo", "ooi", (x2, y, z2)),
         Assign(x, FlatCtor("S", (x2,))),
     )
 
@@ -181,7 +177,7 @@ def test_addo_ioo_exact():
     x2, z2 = c1.locals
     assert c1.ops == (
         Match(x, "S", (x2,)),
-        DirCall("addo", parse_direction("ioo"), (x2, y, z2)),
+        DirCall("addo", "ioo", (x2, y, z2)),
         Assign(z, FlatCtor("S", (z2,))),
     )
 
@@ -252,8 +248,8 @@ def test_sorto_oi_schedule():
     c1 = proc.clauses[1]
     assert kinds(c1) == ["DirCall", "DirCall", "Assign"]
     first, second, _ = c1.ops
-    assert (first.rel, direction_str(first.direction)) == ("inserto", "ooi")
-    assert (second.rel, direction_str(second.direction)) == ("sorto", "oi")
+    assert (first.rel, first.direction) == ("inserto", "ooi")
+    assert (second.rel, second.direction) == ("sorto", "oi")
     for key in [("inserto", "ooi"), ("leo", "ii"), ("gto", "ii")]:
         validate_proc(table.proc(*key))
     validate_proc(proc)
@@ -265,8 +261,8 @@ def test_sorto_io_schedule():
     c1 = proc.clauses[1]
     assert kinds(c1) == ["Match", "DirCall", "DirCall"]
     _, first, second = c1.ops
-    assert (first.rel, direction_str(first.direction)) == ("sorto", "io")
-    assert (second.rel, direction_str(second.direction)) == ("inserto", "iio")
+    assert (first.rel, first.direction) == ("sorto", "io")
+    assert (second.rel, second.direction) == ("inserto", "iio")
     validate_proc(proc)
 
 
@@ -277,7 +273,7 @@ def test_inserto_ooi_schedule():
     assert kinds(proc.clauses[1]) == ["Match", "Match", "DirCall"]
     assert kinds(proc.clauses[2]) == ["Match", "DirCall", "Assign", "DirCall"]
     recursive = proc.clauses[2].ops[1]
-    assert (recursive.rel, direction_str(recursive.direction)) == ("inserto", "ooi")
+    assert (recursive.rel, recursive.direction) == ("inserto", "ooi")
     validate_proc(proc)
 
 
@@ -289,8 +285,8 @@ def test_inserto_iio_schedule():
     # The gto test reads only x and h, so it runs before the recursion.
     assert kinds(proc.clauses[2]) == ["Match", "DirCall", "DirCall", "Assign"]
     check, recurse = proc.clauses[2].ops[1:3]
-    assert (check.rel, direction_str(check.direction)) == ("gto", "ii")
-    assert (recurse.rel, direction_str(recurse.direction)) == ("inserto", "iio")
+    assert (check.rel, check.direction) == ("gto", "ii")
+    assert (recurse.rel, recurse.direction) == ("inserto", "iio")
     validate_proc(proc)
 
 
@@ -300,8 +296,8 @@ def test_balanceo_oo_schedule():
     (clause,) = proc.clauses
     assert kinds(clause) == ["DirCall", "DirCall"]
     leaves, balanced = clause.ops
-    assert (leaves.rel, direction_str(leaves.direction)) == ("leaves", "oo")
-    assert (balanced.rel, direction_str(balanced.direction)) == ("balanced", "oi")
+    assert (leaves.rel, leaves.direction) == ("leaves", "oo")
+    assert (balanced.rel, balanced.direction) == ("balanced", "oi")
     for proc in table.procs.values():
         validate_proc(proc)
 
@@ -309,13 +305,13 @@ def test_balanceo_oo_schedule():
 def test_balanced_oi_schedule():
     table = table_for("balance", [("balanced", "oi")])
     proc = table.proc("balanced", "oi")
-    (n,) = (p for p, m in zip(proc.params, proc.direction) if m is Mode.IN)
+    (n,) = (p for p, m in zip(proc.params, proc.direction) if m == "i")
     ops = proc.clauses[1].ops
     assert kinds(proc.clauses[1]) == [
         "DirCall", "Match", "Match", "DirCall", "DirCall", "DirCall", "Assign",
     ]
     split, _, _, near, left, right, _ = ops
-    calls = [(op.rel, direction_str(op.direction)) for op in (split, near, left, right)]
+    calls = [(op.rel, op.direction) for op in (split, near, left, right)]
     assert calls == [
         ("addo", "ooi"), ("near", "ii"), ("balanced", "oi"), ("balanced", "oi"),
     ]
@@ -393,16 +389,16 @@ def test_scheduling_stuck_when_callee_direction_failed():
     )
     nprog = normalize_program(program)
     analyzer = _Analyzer(nprog)
-    analyzer.memo[("addo", parse_direction("oio"))] = _FAILED
-    analyzer.memo[("addo", parse_direction("ooi"))] = _FAILED
-    analyzer.memo[("addo", parse_direction("ooo"))] = _FAILED
+    analyzer.memo[("addo", "oio")] = _FAILED
+    analyzer.memo[("addo", "ooi")] = _FAILED
+    analyzer.memo[("addo", "ooo")] = _FAILED
     with pytest.raises(SchedulingStuck):
-        analyzer.infer("subo", parse_direction("oo"))
+        analyzer.infer("subo", "oo")
     # With callable directions available the same relation schedules fine.
     table = analyze(nprog, [("subo", "io")])
     proc = table.proc("subo", "io")
     assert kinds(proc.clauses[0]) == ["DirCall"]
-    assert proc.clauses[0].ops[0].direction == parse_direction("ooi")
+    assert proc.clauses[0].ops[0].direction == "ooi"
 
 
 def test_corpus_wide_validation():
@@ -440,7 +436,7 @@ def late_checks(proc: DirectedProc) -> list[tuple[int, int]]:
     late = []
     for ci, clause in enumerate(proc.clauses):
         bound_at = {
-            p: -1 for p, m in zip(proc.params, proc.direction) if m is Mode.IN
+            p: -1 for p, m in zip(proc.params, proc.direction) if m == "i"
         }
         for i, op in enumerate(clause.ops):
             if isinstance(op, DirCall) and not op.outs:

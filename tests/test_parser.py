@@ -18,11 +18,11 @@ from kanrel.parser import (
     UnresolvedType,
     corpus_names,
     load_corpus_text,
+    parse_ground_term,
     parse_program,
-    parse_query_terms,
 )
-from kanrel.pretty import format_program
-from kanrel.schema import DuplicateName, Hole, InvalidValue, UnknownCtor, VarId
+from kanrel.pretty import format_program, format_term
+from kanrel.schema import DuplicateName, Hole, Node, UnknownCtor, VarId
 
 NAT_TEXT = """
 # the smallest interesting program
@@ -104,7 +104,7 @@ class TestParsing:
             "rel P(x: Nat) = x == x.",  # relation names start lowercase
             "type Nat = O | S(Nat). rel p(x: Nat) = x = O.",  # '=' is not '=='
             "type Nat = O. rel p(x: Nat) = fresh . x == O.",  # missing names
-            "type Nat = O. rel p(x: Nat) = x == _.",  # hole outside query terms
+            "type Nat = O. rel p(x: Nat) = x == _.",  # '_' is not a token
             "type Nat = O. rel fresh(x: Nat) = x == O.",  # keyword as name
             "$",
         ],
@@ -207,31 +207,27 @@ class TestTypeInference:
 
 
 class TestQueryTerms:
-    schema = corpus_program("sort").schema
-
-    def test_ground_and_hole_mix(self):
-        terms = parse_query_terms("S(S(O)), _, _", self.schema, ["Nat", "Nat", "Nat"])
-        assert terms[0] == nat(2)
-        assert isinstance(terms[1], Hole) and terms[1].var.type == "Nat"
-        assert terms[1].var != terms[2].var
-
-    def test_hole_inside_a_constructor(self):
-        (term,) = parse_query_terms("Cons(_, Nil)", self.schema, ["NatList"])
-        assert isinstance(term.args[0], Hole)
-        assert term.args[0].var.type == "Nat"
+    def test_ground_term(self):
+        term = parse_ground_term("Cons(S(O), Nil)")
+        assert term == Node("Cons", (nat(1), Node("Nil", ())))
 
     def test_named_variables_rejected(self):
-        with pytest.raises(ParseError):
-            parse_query_terms("x", self.schema, ["Nat"])
+        for text in ["x", "S(x)"]:
+            with pytest.raises(ParseError):
+                parse_ground_term(text)
 
-    def test_wrong_owner_rejected(self):
-        with pytest.raises(InvalidValue):
-            parse_query_terms("Nil", self.schema, ["Nat"])
-
-    def test_count_checked(self):
-        with pytest.raises(ArityMismatch):
-            parse_query_terms("O, O", self.schema, ["Nat"])
+    def test_hole_inside_a_constructor(self):
+        # '_' is no hole in a ground term: it is not a token at all.
+        for text in ["_", "Cons(_, Nil)"]:
+            with pytest.raises(ParseError):
+                parse_ground_term(text)
 
     def test_trailing_junk_rejected(self):
-        with pytest.raises(ParseError):
-            parse_query_terms("O O", self.schema, ["Nat"])
+        for text in ["O O", "O, O", "S(O))"]:
+            with pytest.raises(ParseError):
+                parse_ground_term(text)
+
+    def test_deep_term(self):
+        # Compared as text: dataclass == recurses once per level.
+        text = "S(" * 10_000 + "O" + ")" * 10_000
+        assert format_term(parse_ground_term(text)) == text
