@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .goals import TypeMismatch, check_term
+from .goals import check_args
+from .interp import ground_answers
 from .modes import (
     Assign,
     Det,
@@ -226,41 +227,14 @@ class DirectedEngine:
         return bind(raw, self._ground_stream)
 
     def _ground_stream(self, answer: tuple[Term, ...]) -> Stream:
-        """Ground a raw answer, in ground_answers' exact enumeration order.
-
-        Same hole order (first occurrence), same per-type generators, same
-        nested bind-over-candidates shape.  Only the rebuilding differs: each
-        tuple position is compiled once into a plug function, so hole-free
-        subterms are shared between answers instead of re-walked per answer.
+        """Ground a raw answer by ``interp.ground_answers``, with this
+        engine's builder: each tuple position is compiled once into a plug
+        function, so hole-free subterms are shared, not rebuilt per answer.
         """
-        order: dict[VarId, None] = {}
-        for term in answer:
-            for v in holes(term):
-                order.setdefault(v)
-        residual = tuple(order)
-        if not residual:
-            return unit(answer)
-        pluggers = tuple(_compile_plug(t) for t in answer)
-        generate = self.schema.generate
-        last = len(residual) - 1
-
-        def at(i: int, assignment: dict) -> Stream:
-            var = residual[i]
-            candidates = from_iterator(generate(var.type))
-            if i == last:
-
-                def fill(value: Term) -> Stream:
-                    asg = {**assignment, var: value}
-                    return unit(tuple(p(asg) for p in pluggers))
-
-            else:
-
-                def fill(value: Term) -> Stream:
-                    return at(i + 1, {**assignment, var: value})
-
-            return bind(candidates, fill)
-
-        return at(0, {})
+        plugs = tuple(_compile_plug(t) for t in answer)
+        return ground_answers(
+            answer, self.schema, lambda asg: tuple(p(asg) for p in plugs)
+        )
 
     def raw_stream(self, rel: str, direction: str, ins) -> Stream:
         """Answer tuples before grounding; symbolic holes may remain."""
@@ -283,18 +257,11 @@ class DirectedEngine:
                 f"{proc.rel}^{proc.direction} takes "
                 f"{len(in_params)} inputs, got {len(ins)}"
             )
-        env: dict[VarId, Term] = {}
         for p, value in zip(in_params, ins):
             if not is_ground(value):
                 raise InvalidValue(f"input for {p!r} must be ground, got {value}")
-            got = check_term(self.schema, value)
-            if got != p.type:
-                raise TypeMismatch(
-                    f"input for {p!r} of {proc.rel} has type {got},"
-                    f" expected {p.type}"
-                )
-            env[p] = value
-        return env
+        check_args(self.schema, proc.rel, in_params, ins)
+        return dict(zip(in_params, ins))
 
     def _fresh_hole(self, type_name: str) -> Hole:
         return Hole(VarId(next(self._holes), type_name, "r"))
@@ -303,9 +270,9 @@ class DirectedEngine:
     #
     # Each clause is compiled once into a step plan.  Maximal runs of ops
     # that never suspend (guards, matches, assigns, residual generation) are
-    # fused into a single function applied with smap; only calls and inline
-    # generation become bind steps.  smap keeps the stream shape of the
-    # per-op bind chain, so answer order is unchanged.
+    # fused: a leading run into one function of the entry env, a later one
+    # into the smap of the step before it.  Only calls and inline generation
+    # bind; smap keeps the per-op bind chain's stream shape and answer order.
 
     def _proc_stream(self, proc: DirectedProc, env: dict) -> Stream:
         key = proc.rel, proc.direction
@@ -331,12 +298,7 @@ class DirectedEngine:
         else:
             out = fn0(env)
         for kind, fn, _ in plan[1:]:
-            if kind is _FUSED:
-                out = smap(out, fn)
-            elif kind is _SELF:
-                out = bind(out, partial(fn, me))
-            else:
-                out = bind(out, fn)
+            out = bind(out, partial(fn, me) if kind is _SELF else fn)
         return out
 
     def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
@@ -367,10 +329,9 @@ class DirectedEngine:
         its own first.  A self step is a bind step for a call that repeats
         the running one (same procedure, its own in-params passed straight
         on); its fn takes a holder of the running call's stream before the
-        env.  A mature run that follows a call or an enumeration
-        is absorbed into that step's per-element function, so each element
-        pays one dict copy and one map call instead of a separate stream
-        layer.
+        env.  A mature run after a call or an enumeration is absorbed into
+        that step's per-element function (one dict copy and one map call per
+        element, not a stream layer), so a fused step can only lead a plan.
         """
         plan: list = []
         run: list = []

@@ -3,17 +3,17 @@
 A program is a term schema plus named relations; a relation body is a goal
 built from unification, conjunction, disjunction, relation calls, and fresh
 variable introduction.  Programs are checked once, when the parser
-elaborates them; ``check_term`` types the terms of a query.  Evaluation,
-normalization and goal printing are GoalInterpreters driven by fold_goal;
-traversals that collect variables or rebuild goals dispatch on the goal
-forms themselves.
+elaborates them; ``check_args`` types the arguments of a query, each with
+``check_term``.  Evaluation, normalization and goal printing are
+GoalInterpreters driven by fold_goal; traversals that collect variables or
+rebuild goals dispatch on the goal forms themselves.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 from .schema import DuplicateName, Hole, Term, TermSchema, VarId
 
@@ -99,24 +99,57 @@ class Program:
 
 
 def check_term(schema: TermSchema, term: Term) -> str:
-    """Infer a term's type, checking constructor arities and argument types."""
-    if isinstance(term, Hole):
-        if term.var.type not in schema.types_by_name:
-            raise TypeMismatch(f"{term.var!r} ranges over undeclared type {term.var.type}")
-        return term.var.type
-    ctor, owner = schema.ctor(term.ctor)
-    if len(term.args) != len(ctor.arg_types):
-        raise ArityMismatch(
-            f"constructor {term.ctor} takes {len(ctor.arg_types)} arguments,"
-            f" got {len(term.args)}"
-        )
-    for arg, want in zip(term.args, ctor.arg_types):
-        got = check_term(schema, arg)
-        if got != want:
+    """Infer a term's type, checking constructor arities and argument types.
+
+    Iterative, so a term's depth is not bounded by the stack.  Arguments
+    are checked depth first, left to right, as a recursive walk would.
+    """
+    # One frame per node above the term under check: [node, its argument
+    # types, its own type, index of the argument under check].
+    stack: list[list] = []
+    while True:
+        if isinstance(term, Hole):
+            if term.var.type not in schema.types_by_name:
+                raise TypeMismatch(f"{term.var!r} ranges over undeclared type {term.var.type}")
+            got = term.var.type
+        else:
+            ctor, got = schema.ctor(term.ctor)
+            if len(term.args) != len(ctor.arg_types):
+                raise ArityMismatch(
+                    f"constructor {term.ctor} takes {len(ctor.arg_types)} arguments,"
+                    f" got {len(term.args)}"
+                )
+            if term.args:
+                stack.append([term, ctor.arg_types, got, 0])
+                term = term.args[0]
+                continue
+        # got is the type of the argument under check in the top frame.
+        while stack:
+            frame = stack[-1]
+            node, wants, owner, i = frame
+            if got != wants[i]:
+                raise TypeMismatch(f"argument of {node.ctor} has type {got}, expected {wants[i]}")
+            if i + 1 < len(node.args):
+                frame[3] = i + 1
+                term = node.args[i + 1]
+                break
+            stack.pop()
+            got = owner
+        else:
+            return got
+
+
+def check_args(
+    schema: TermSchema, rel: str, params: Sequence[VarId], values: Sequence[Term]
+) -> None:
+    """Type each value against its parameter of rel; both engines call this."""
+    for param, value in zip(params, values):
+        got = check_term(schema, value)
+        if got != param.type:
             raise TypeMismatch(
-                f"argument of {term.ctor} has type {got}, expected {want}"
+                f"argument for {param!r} of {rel} has type {got},"
+                f" expected {param.type}"
             )
-    return owner
 
 
 R = TypeVar("R")

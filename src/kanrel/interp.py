@@ -29,7 +29,7 @@ from .goals import (
     Relation,
     TypeMismatch,
     Unify,
-    check_term,
+    check_args,
     fold_goal,
 )
 from .schema import (
@@ -216,32 +216,43 @@ class RefEval(GoalInterpreter[GoalClosure]):
 
 
 def ground_answers(
-    answer: tuple[Term, ...], schema: TermSchema
+    answer: tuple[Term, ...],
+    schema: TermSchema,
+    build: Callable[[dict[VarId, Node]], tuple[Term, ...]] | None = None,
 ) -> Stream:
     """Enumerate all ground instances of an answer tuple, fairly.
 
-    Holes are filled in first-occurrence order; each hole's candidates come
-    from the schema generator with a delay per candidate, and bind dovetails
-    across holes.  This is the reference grounding; the directed engine's
-    grounding is a plug-compiled version of the same enumeration and must
-    stay order-identical to it.
+    The one grounding enumeration of both engines.  Holes are filled in
+    first-occurrence order, found once: one bind over the schema
+    generator's candidates per hole, a delay per candidate, so bind
+    dovetails across holes.  ``build`` maps each complete assignment to a
+    ground tuple: by default each term is rebuilt with ``rebuild``; the
+    directed engine passes its compiled plugs.
     """
-    residual: tuple[VarId, ...] = ()
-    seen: dict[VarId, None] = {}
+    order: dict[VarId, None] = {}
     for term in answer:
         for v in holes(term):
-            seen.setdefault(v)
-    residual = tuple(seen)
+            order.setdefault(v)
+    residual = tuple(order)
     if not residual:
         return unit(answer)
-    first = residual[0]
-    candidates = from_iterator(schema.generate(first.type))
+    if build is None:
 
-    def fill(value: Node) -> Stream:
-        filled = tuple(rebuild(t, {first: value}) for t in answer)
-        return ground_answers(filled, schema)
+        def build(assignment: dict[VarId, Node]) -> tuple[Term, ...]:
+            return tuple(rebuild(t, assignment) for t in answer)
 
-    return bind(candidates, fill)
+    last = len(residual) - 1
+
+    def at(i: int, assignment: dict[VarId, Node]) -> Stream:
+        var = residual[i]
+
+        def fill(value: Node) -> Stream:
+            filled = {**assignment, var: value}
+            return unit(build(filled)) if i == last else at(i + 1, filled)
+
+        return bind(from_iterator(schema.generate(var.type)), fill)
+
+    return at(0, {})
 
 
 def query_args(relation: Relation, direction: str, ins) -> tuple[Term, ...]:
@@ -268,13 +279,7 @@ def query_stream(
         raise ArityMismatch(
             f"{rel_name} takes {len(relation.params)} arguments, got {len(args)}"
         )
-    for arg, param in zip(args, relation.params):
-        got = check_term(program.schema, arg)
-        if got != param.type:
-            raise TypeMismatch(
-                f"argument for {param!r} of {rel_name} has type {got},"
-                f" expected {param.type}"
-            )
+    check_args(program.schema, rel_name, relation.params, args)
     query_vars: list[int] = [v.id for a in args for v in holes(a)]
     st0 = State({}, max(query_vars, default=-1) + 1)
     ev = RefEval(program)

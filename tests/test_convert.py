@@ -491,6 +491,24 @@ def test_engines_reject_ill_typed_inputs_alike(engine, value, error):
         engine((value,))
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        nat(1),
+        Node("Cons", (Node("Nil"), Node("Nil"))),
+        Node("S", (Node("O"), Node("O"))),
+    ],
+    ids=["nat-for-natlist", "natlist-in-nat-slot", "ctor-arity"],
+)
+def test_engines_report_ill_typed_inputs_in_the_same_words(value):
+    messages = []
+    for engine in (ref_sorto_oi, converted_sorto_oi):
+        with pytest.raises((TypeMismatch, ArityMismatch)) as info:
+            engine((value,))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 # --- emission ---
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import LIST_DECLS, NAT_DECLS, addo_program, schema_from
+from conftest import LIST_DECLS, NAT_DECLS, addo_program, nat, schema_from
 from kanrel.goals import (
     ArityMismatch,
     GoalInterpreter,
@@ -33,6 +33,15 @@ class TestCheckTerm:
         schema = schema_from(LIST_DECLS)
         with pytest.raises(ArityMismatch):
             check_term(schema, Node("S", (Node("O"), Node("O"))))
+
+    def test_types_terms_deeper_than_the_stack(self):
+        schema = schema_from(LIST_DECLS)
+        assert check_term(schema, nat(50_000)) == "Nat"
+        bad = Node("Nil")
+        for _ in range(50_000):
+            bad = Node("S", (bad,))
+        with pytest.raises(TypeMismatch, match="argument of S has type NatList"):
+            check_term(schema, bad)
 
 
 class TestProgramChecks:

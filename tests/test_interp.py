@@ -159,6 +159,27 @@ class TestGrounding:
     def test_ground_answer_passes_through(self):
         assert take(ground_answers((nat(1), nat(2)), SCHEMA), 3) == [(nat(1), nat(2))]
 
+    def test_grounding_finds_the_holes_once(self, monkeypatch):
+        # Counts, not times: rescanning the answer after each filled hole
+        # makes the count grow with the number of answers drawn.
+        def holes_calls(n: int) -> int:
+            calls = 0
+
+            def counting(term):
+                nonlocal calls
+                calls += 1
+                return holes(term)
+
+            monkeypatch.setattr(interp_module, "holes", counting)
+            v = h(0)
+            z: Term = v
+            for _ in range(8):
+                z = Node("S", (z,))
+            assert len(take(ground_answers((nat(8), v, z), SCHEMA), n)) == n
+            return calls
+
+        assert holes_calls(64) == holes_calls(128)
+
 
 class TestQueryValidation:
     def test_arity_checked(self):
