@@ -7,8 +7,10 @@ then consume the stream without retaining answers, with the garbage
 collector paused so allocation-heavy rows are not charged for collection
 pauses triggered by unrelated rows.
 
-Engine construction (parsing, normalization, mode analysis, plan
-compilation) happens once per corpus and is excluded from timing.
+Each row builds both engines the way ``kanrel run`` builds them for its
+query: the corpus is parsed, and the directed engine is compiled from a
+mode table for that one (relation, direction).  The build is excluded from
+timing.
 """
 
 from __future__ import annotations
@@ -190,14 +192,6 @@ def default_rows() -> list[RowSpec]:
     return rows
 
 
-def rows_for(corpus: str) -> list[RowSpec]:
-    rows = [r for r in default_rows() if r.corpus == corpus]
-    if not rows:
-        have = sorted({r.corpus for r in default_rows()})
-        raise KeyError(f"no bench suite for corpus {corpus!r}; have: {', '.join(have)}")
-    return rows
-
-
 def _answers_hash(answers: Iterator[tuple[Term, ...]]) -> tuple[str, int]:
     """Order-insensitive digest: hash over the sorted rendered answers."""
     rendered = sorted(
@@ -207,62 +201,44 @@ def _answers_hash(answers: Iterator[tuple[Term, ...]]) -> tuple[str, int]:
     return digest, len(rendered)
 
 
-def _timed_count(make_iter: Callable[[], Iterator], limit: int | None) -> tuple[int, int]:
+def _timed_count(make_iter: Callable[[], Iterator]) -> tuple[int, int]:
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter_ns()
-        it = make_iter()
-        if limit is not None:
-            it = itertools.islice(it, limit)
-        count = sum(1 for _ in it)
+        count = sum(1 for _ in make_iter())
         t1 = time.perf_counter_ns()
     finally:
         gc.enable()
     return t1 - t0, count
 
 
-class _Runner:
-    """Caches one parsed program and one directed engine per corpus."""
+def _iter_makers(spec: RowSpec) -> tuple[tuple[str, Callable[[], Iterator]], ...]:
+    """The row's answer iterators per engine, each cut at ``spec.limit``.
 
-    def __init__(self, rows: list[RowSpec]) -> None:
-        self.programs = {}
-        self.engines = {}
-        by_corpus: dict[str, set[tuple[str, str]]] = {}
-        for r in rows:
-            by_corpus.setdefault(r.corpus, set()).add((r.rel, r.direction))
-        for corpus, requests in by_corpus.items():
-            program = load_corpus(corpus)
-            self.programs[corpus] = program
-            table = analyze(normalize_program(program), sorted(requests))
-            self.engines[corpus] = DirectedEngine(table)
+    Built as ``kanrel run`` builds a query: one parse of the corpus, and a
+    mode table for this (relation, direction) alone.
+    """
+    program = load_corpus(spec.corpus)
+    args = query_args(program.relation(spec.rel), spec.direction, spec.ins)
+    table = analyze(normalize_program(program), [(spec.rel, spec.direction)])
+    engine = DirectedEngine(table)
 
-    def iter_makers(self, spec: RowSpec):
-        program = self.programs[spec.corpus]
-        args = query_args(program.relation(spec.rel), spec.direction, spec.ins)
-        engine = self.engines[spec.corpus]
+    def make_ref() -> Iterator:
+        return itertools.islice(answer_iter(program, spec.rel, args), spec.limit)
 
-        def make_ref() -> Iterator:
-            return answer_iter(program, spec.rel, args)
+    def make_converted() -> Iterator:
+        answers = engine.answer_iter(spec.rel, spec.direction, spec.ins)
+        return itertools.islice(answers, spec.limit)
 
-        def make_converted() -> Iterator:
-            return engine.answer_iter(spec.rel, spec.direction, spec.ins)
-
-        return make_ref, make_converted
+    return ("ref", make_ref), ("converted", make_converted)
 
 
 def run_rows(rows: list[RowSpec], reps: int = REPS) -> BenchReport:
-    runner = _Runner(rows)
     results = []
     for spec in rows:
-        make_ref, make_converted = runner.iter_makers(spec)
-        makers = (("ref", make_ref), ("converted", make_converted))
-        hashes: dict[str, tuple[str, int]] = {}
-        for engine, make in makers:
-            it = make()
-            if spec.limit is not None:
-                it = itertools.islice(it, spec.limit)
-            hashes[engine] = _answers_hash(it)
+        makers = _iter_makers(spec)
+        hashes = {engine: _answers_hash(make()) for engine, make in makers}
         if hashes["ref"] != hashes["converted"]:
             raise HashMismatch(
                 f"{spec.query} {spec.param}: engines disagree"
@@ -274,7 +250,7 @@ def run_rows(rows: list[RowSpec], reps: int = REPS) -> BenchReport:
         for engine, make in makers:
             samples = []
             for _ in range(reps):
-                ns, count = _timed_count(make, spec.limit)
+                ns, count = _timed_count(make)
                 if count != hashes[engine][1]:
                     raise HashMismatch(
                         f"{spec.query}: answer count changed between runs"

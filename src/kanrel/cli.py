@@ -114,15 +114,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.file is None:
-        rows = bench_mod.default_rows()
-    else:
-        corpus = Path(args.file).stem
-        try:
-            rows = bench_mod.rows_for(corpus)
-        except KeyError as e:
-            raise UserError(str(e.args[0])) from None
-    report = bench_mod.run_rows(rows)
+    if args.reps < 1:
+        raise UserError(f"--reps must be a positive count, got {args.reps}")
+    rows = bench_mod.default_rows()
+    if args.suite:
+        have = sorted({r.suite for r in rows})
+        unknown = [s for s in args.suite if s not in have]
+        if unknown:
+            raise UserError(
+                f"no bench suite named {', '.join(map(repr, unknown))}"
+                f" (suites: {', '.join(have)})"
+            )
+        rows = [r for r in rows if r.suite in args.suite]
+    report = bench_mod.run_rows(rows, reps=args.reps)
     print(report.table())
     if args.json:
         Path(args.json).write_text(json.dumps(report.records(), indent=1) + "\n")
@@ -166,8 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the corpus suites, both engines")
     p_bench.add_argument(
-        "file", nargs="?", default=None,
-        help="limit to the suite of one corpus file (default: all suites)",
+        "--suite", action="append", default=[], metavar="NAME",
+        help="run only this suite (repeatable; default: all suites)",
+    )
+    p_bench.add_argument(
+        "--reps", type=int, default=bench_mod.REPS,
+        help=f"timed repetitions per row and engine (default: {bench_mod.REPS})",
     )
     p_bench.add_argument(
         "--json", metavar="PATH",

@@ -46,7 +46,7 @@ from .modes import (
 )
 from .normal import FlatVar
 from .pretty import display_names
-from .schema import Hole, InvalidValue, Node, Term, VarId, holes, is_ground
+from .schema import Hole, InvalidValue, Node, Term, VarId, is_ground
 from .streams import (
     Stream,
     bind,
@@ -558,12 +558,25 @@ class DirectedEngine:
 
 def _compile_plug(term: Term):
     """term as a function of a hole assignment; hole-free parts are shared."""
+    plug = _plug_or_none(term)
+    return (lambda asg: term) if plug is None else plug
+
+
+def _plug_or_none(term: Term):
+    """The plug of a term that holds a hole; None for a hole-free term.
+
+    A node is hole-free when all its parts are, so each node is visited
+    once and compiling is linear in the size of the term.
+    """
     if isinstance(term, Hole):
         var = term.var
         return lambda asg: asg[var]
-    if not holes(term):
-        return lambda asg, term=term: term
-    parts = tuple(_compile_plug(a) for a in term.args)
+    plugs = [_plug_or_none(a) for a in term.args]
+    if all(p is None for p in plugs):
+        return None
+    parts = tuple(
+        (lambda asg, a=a: a) if p is None else p for a, p in zip(term.args, plugs)
+    )
     ctor = term.ctor
     return lambda asg: Node(ctor, tuple(p(asg) for p in parts))
 
@@ -604,7 +617,8 @@ def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
     return display_names(tuple(seen))
 
 
-def emit_proc(proc: DirectedProc, det: Det) -> str:
+def emit_proc(proc: DirectedProc, det: Det, inline: set[SourceId]) -> str:
+    """One procedure as text; ``inline`` is ``residual_plan`` of its table."""
     names = _proc_names(proc)
     ins = [names[p] for p, m in zip(proc.params, proc.direction) if m == "i"]
     outs = [names[p] for p, m in zip(proc.params, proc.direction) if m == "o"]
@@ -614,16 +628,18 @@ def emit_proc(proc: DirectedProc, det: Det) -> str:
         f"proc {name}({', '.join(ins)}) -> ({', '.join(outs)}):  # {det}",
         f"  {combinator}:",
     ]
-    for clause in proc.clauses:
+    for ci, clause in enumerate(proc.clauses):
         lines.append("    allOf:")
         if not clause.ops:
             lines.append("      succeed")
-        for op in clause.ops:
-            lines.append(f"      {_emit_op(op, names)}")
+        for oi, op in enumerate(clause.ops):
+            enumerates = (proc.rel, proc.direction, ci, oi) in inline
+            lines.append(f"      {_emit_op(op, names, enumerates)}")
     return "\n".join(lines)
 
 
-def _emit_op(op: ModedOp, names: dict[VarId, str]) -> str:
+def _emit_op(op: ModedOp, names: dict[VarId, str], enumerates: bool) -> str:
+    """An op as text; ``enumerates`` tells an inline generator from a deferred one."""
     if isinstance(op, Guard):
         return f"guard {names[op.var]} == {names[op.other]}"
     if isinstance(op, GuardCtor):
@@ -635,7 +651,8 @@ def _emit_op(op: ModedOp, names: dict[VarId, str]) -> str:
             return f"{names[op.var]} := {names[op.term.var]}"
         return f"{names[op.var]} := {_emit_ctor(op.term.ctor, op.term.args, names)}"
     if isinstance(op, GenerateVar):
-        return f"generate {names[op.var]} : {op.var.type}"
+        verb = "generate" if enumerates else "defer"
+        return f"{verb} {names[op.var]} : {op.var.type}"
     ins = [names[a] for a, m in zip(op.args, op.direction) if m == "i"]
     outs = [names[a] for a, m in zip(op.args, op.direction) if m == "o"]
     call = f"{op.rel}_{op.direction}({', '.join(ins)})"
@@ -652,7 +669,8 @@ def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> s
 
 def emit_text(table: ModeTable, rel: str, direction: str) -> str:
     procs = transitive_procs(table, rel, direction)
+    inline = residual_plan(table)
     chunks = [
-        emit_proc(p, table.det(p.rel, p.direction)) for p in procs
+        emit_proc(p, table.det(p.rel, p.direction), inline) for p in procs
     ]
     return "\n\n".join(chunks) + "\n"

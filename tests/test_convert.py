@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kanrel.convert as convert_module
+import kanrel.interp as interp_module
+import kanrel.schema as schema_module
 import kanrel.streams as streams_module
 from kanrel.convert import (
     ConvertError,
@@ -22,7 +25,7 @@ from kanrel.modes import Det, ModeError, analyze
 from kanrel.normal import normalize_program
 from kanrel.parser import parse_program
 from kanrel.schema import Hole, InvalidValue, Node, UnknownCtor, VarId
-from kanrel.streams import stream_iter
+from kanrel.streams import stream_iter, take
 
 from conftest import corpus_program, nat, natlist, unnat, unnatlist
 
@@ -164,6 +167,18 @@ type Nat = O | S(Nat).
 rel isz(u: Unit, n: Nat) = n == O.
 rel r(n: Nat) = fresh u, w . (isz(u, n), isz(w, n), u == w).
 """
+
+
+def test_emit_says_which_generators_are_deferred(addo_engine):
+    # addo^ioo's generator stays a symbolic hole until answers are grounded.
+    text = emit_text(addo_engine.table, "addo", "ioo")
+    assert "defer y : Nat" in text
+    assert "generate" not in text
+    # isz's out reaches an in-argument, so that generator enumerates.
+    table = analyze(normalize_program(parse_program(SINGLETON_INLINE)), [("r", "i")])
+    isz = emit_text(table, "r", "i").split("proc isz_oi(")[1]
+    assert "generate u : Unit" in isz
+    assert "defer" not in isz
 
 
 def test_maybe_runs_inline_singleton_generation():
@@ -402,6 +417,37 @@ def test_fast_grounding_matches_reference_order(addo_engine, answer):
     slow = take(ground_answers(answer, addo_engine.schema), 30)
     fast = take(addo_engine._ground_stream(answer), 30)
     assert fast == slow
+
+
+def test_grounding_compiles_a_chain_in_one_pass(addo_engine, monkeypatch):
+    # Counts, not times: asking at every level of S^k(h) whether the rest
+    # holds a hole makes the count grow with k.
+    calls = 0
+
+    def counted(fn):
+        def wrapper(term):
+            nonlocal calls
+            calls += 1
+            return fn(term)
+
+        return wrapper
+
+    for module in (schema_module, interp_module, convert_module):
+        for name in ("holes", "is_ground"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+
+    def calls_for(depth: int) -> int:
+        nonlocal calls
+        calls = 0
+        chain: Node | Hole = qhole(0)
+        for _ in range(depth):
+            chain = Node("S", (chain,))
+        grounded = take(addo_engine._ground_stream((chain,)), 3)
+        assert [unnat(t) for (t,) in grounded] == [depth, depth + 1, depth + 2]
+        return calls
+
+    assert calls_for(500) == calls_for(1000)
 
 
 def test_residual_answer_is_shared(addo_engine):
