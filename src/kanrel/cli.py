@@ -126,6 +126,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f" (suites: {', '.join(have)})"
             )
         rows = [r for r in rows if r.suite in args.suite]
+    if args.json:
+        # An unwritable path fails now, not after every row has run; "a"
+        # leaves an existing file as it is until the report replaces it.
+        with open(args.json, "a"):
+            pass
     report = bench_mod.run_rows(rows, reps=args.reps)
     print(report.table())
     if args.json:

@@ -8,11 +8,22 @@ produce answers in the same order under both engines.  Procedures that are
 at most semidet take the first answer of the same plan by walking its
 steps directly, with no streams allocated.
 
-A nondet procedure that calls itself on its own inputs, as ``addo^oio(y)``
-does, reads its own stream for that call instead of running a copy of
-itself: the stream is shared (call-by-need), so answer k follows from
-answer k-1 in O(1) rather than through one layer per recursion level.  The
-copy would yield exactly the same stream, so the answer order is unchanged.
+Each top-level query keeps a table of shared (call-by-need) streams, keyed
+by relation, direction and ground in-values (call-variant tabling, as in
+Chen & Warren, "Tabled Evaluation with Delaying for General Logic
+Programs", 1996).  ``tabled_procs`` picks the procedures whose calls read
+it: nondet ones with no residual outs that some call may repeat on equal
+inputs, because it repeats the running call on its own inputs (as
+``addo^oio(y)`` calls ``addo^oio(y)``) or because an in-argument was bound
+by another call or an inline enumeration (as ``sorto^oi`` sorts the
+sublist ``inserto^ooi`` proposes).  Equal calls then build one stream and
+read it many times; a call that repeats the running one reads the running
+stream, and answer k follows from answer k-1 in O(1) rather than through
+one layer per recursion level.  A second build would yield exactly the
+same stream, so the answer order is unchanged.  A procedure called only on
+values taken apart from its caller's own inputs is not tabled: on the
+usual recursion shapes it sees each value once, and an entry would only
+keep every level alive.
 
 Generation is deferred: a ``GenerateVar`` normally binds its variable to a
 fresh symbolic hole instead of enumerating, and top-level grounding expands
@@ -158,10 +169,57 @@ def residual_plan(table: ModeTable) -> set[SourceId]:
         inline |= fresh
 
 
+def tabled_procs(
+    table: ModeTable, out_res: dict[tuple[str, str], tuple[frozenset, ...]]
+) -> set[tuple[str, str]]:
+    """Procedures whose calls read the query's table of shared streams.
+
+    ``out_res`` is ``_out_residuals`` of the table.  A procedure is tabled
+    when it is nondet with no residual out (two uses of a shared answer
+    that holds a symbolic hole would be grounded together, and answers
+    lost) and some call of it may repeat on equal inputs: the call repeats
+    the running call on its own in-params, or takes an in-argument bound
+    earlier in its clause by a call's out or an inline enumeration,
+    directly or through ``match`` and ``:=``.
+    """
+    shareable = {
+        key
+        for key in table.procs
+        if table.dets[key] > Det.SEMIDET and not any(out_res[key])
+    }
+    tabled: set[tuple[str, str]] = set()
+    for key, proc in table.procs.items():
+        own_ins = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
+        for clause in proc.clauses:
+            derived: set[VarId] = set()
+            for op in clause.ops:
+                if isinstance(op, DirCall):
+                    callee = (op.rel, op.direction)
+                    ins = [a for a, m in zip(op.args, op.direction) if m == "i"]
+                    if callee in shareable and (
+                        (callee == key and ins == own_ins)
+                        or not derived.isdisjoint(ins)
+                    ):
+                        tabled.add(callee)
+                    derived.update(op.outs)
+                elif isinstance(op, GenerateVar):
+                    derived.add(op.var)
+                elif isinstance(op, Match):
+                    if op.var in derived:
+                        derived.update(op.args)
+                elif isinstance(op, Assign):
+                    parts = (
+                        (op.term.var,) if isinstance(op.term, FlatVar) else op.term.args
+                    )
+                    if not derived.isdisjoint(parts):
+                        derived.add(op.var)
+    return tabled
+
+
 # --- runtime ---
 
 # Kinds of plan step.
-_FUSED, _BIND, _SELF = "fused", "bind", "self"
+_FUSED, _BIND = "fused", "bind"
 
 
 def _check_equal(a: Term, b: Term) -> bool:
@@ -183,13 +241,10 @@ class DirectedEngine:
         self.inline = residual_plan(table)
         self._out_res = _out_residuals(table, self.inline)
         self._holes = itertools.count(10_000_000)
-        # Procedures whose repeated calls may read their own stream: nondet
-        # ones whose answers hold no symbolic hole (two uses of a shared
-        # answer would be grounded together, and answers lost).
-        self._shareable = {
-            key
-            for key in table.procs
-            if table.dets[key] > Det.SEMIDET and not any(self._out_res[key])
+        # Each tabled procedure with the in-params that key its streams.
+        self._tabled = {
+            key: [p for p, m in zip(table.procs[key].params, key[1]) if m == "i"]
+            for key in tabled_procs(table, self._out_res)
         }
         self._plans = {
             key: [
@@ -197,11 +252,6 @@ class DirectedEngine:
                 for ci, clause in enumerate(proc.clauses)
             ]
             for key, proc in table.procs.items()
-        }
-        self._shared = {
-            key
-            for key, plans in self._plans.items()
-            if any(kind is _SELF for plan in plans for kind, _, _ in plan)
         }
 
     # --- entry points ---
@@ -237,7 +287,10 @@ class DirectedEngine:
         )
 
     def raw_stream(self, rel: str, direction: str, ins) -> Stream:
-        """Answer tuples before grounding; symbolic holes may remain."""
+        """Answer tuples before grounding; symbolic holes may remain.
+
+        Each call is a new query, with a new table of shared streams.
+        """
         proc = self.table.proc(rel, direction)
         env = self._entry_env(proc, ins)
 
@@ -274,31 +327,44 @@ class DirectedEngine:
     # into the smap of the step before it.  Only calls and inline generation
     # bind; smap keeps the per-op bind chain's stream shape and answer order.
 
-    def _proc_stream(self, proc: DirectedProc, env: dict) -> Stream:
+    def _proc_stream(
+        self, proc: DirectedProc, env: dict, table: dict | None = None
+    ) -> Stream:
+        """The procedure's answer envs; ``table`` is the running query's
+        table of shared streams, and a new query's when None.
+
+        A tabled procedure has at most one stream per in-values in a query:
+        a call reads it from the table, or builds it and enters it there.
+        Calls read the table inside their call's delay, so a call that
+        repeats the running one reads the running stream, entered by then.
+        """
+        if table is None:
+            table = {}
         key = proc.rel, proc.direction
-        plans = self._plans[key]
-        if key not in self._shared:
-            return mplus_all([self._run_plan(plan, env) for plan in plans])
-        # Self steps read the stream through `me` once it is built; the
-        # call they make is delayed, so none of them reads it before that.
-        me: list = []
-        stream = share(mplus_all([self._run_plan(plan, env, me) for plan in plans]))
-        me.append(stream)
+        in_params = self._tabled.get(key)
+        if in_params is None:
+            return self._build_stream(proc, env, table)
+        entry = _table_key(key, [env[p] for p in in_params])
+        stream = table.get(entry)
+        if stream is None:
+            stream = table[entry] = share(self._build_stream(proc, env, table))
         return stream
 
-    def _run_plan(self, plan: list, env: dict, me: list | None = None) -> Stream:
+    def _build_stream(self, proc: DirectedProc, env: dict, table: dict) -> Stream:
+        plans = self._plans[proc.rel, proc.direction]
+        return mplus_all([self._run_plan(plan, env, table) for plan in plans])
+
+    def _run_plan(self, plan: list, env: dict, table: dict) -> Stream:
         if not plan:
             return unit(env)
         kind, fn0, _ = plan[0]
         if kind is _FUSED:
             got = fn0(env)
             out = None if got is None else unit(got)
-        elif kind is _SELF:
-            out = fn0(me, env)
         else:
-            out = fn0(env)
-        for kind, fn, _ in plan[1:]:
-            out = bind(out, partial(fn, me) if kind is _SELF else fn)
+            out = fn0(table, env)
+        for _, fn, _ in plan[1:]:
+            out = bind(out, partial(fn, table))
         return out
 
     def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
@@ -324,14 +390,12 @@ class DirectedEngine:
     ) -> list:
         """Plan: list of (kind, fn, first); fused fns map env -> env | None.
 
-        A bind step's fn maps an env to a stream of envs, and its first maps
-        an env to the step's first surviving env or None; a fused step is
-        its own first.  A self step is a bind step for a call that repeats
-        the running one (same procedure, its own in-params passed straight
-        on); its fn takes a holder of the running call's stream before the
-        env.  A mature run after a call or an enumeration is absorbed into
-        that step's per-element function (one dict copy and one map call per
-        element, not a stream layer), so a fused step can only lead a plan.
+        A bind step's fn maps the query's table and an env to a stream of
+        envs, and its first maps an env to the step's first surviving env
+        or None; a fused step is its own first.  A mature run after a call
+        or an enumeration is absorbed into that step's per-element function
+        (one dict copy and one map call per element, not a stream layer), so
+        a fused step can only lead a plan.
         """
         plan: list = []
         run: list = []
@@ -349,7 +413,7 @@ class DirectedEngine:
 
         for oi, op in enumerate(clause.ops):
             if isinstance(op, DirCall):
-                flush(partial(self._compile_call, proc, op))
+                flush(partial(self._compile_call, op))
             elif isinstance(op, GenerateVar) and (
                 (proc.rel, proc.direction, ci, oi) in self.inline
             ):
@@ -461,7 +525,7 @@ class DirectedEngine:
 
         return step
 
-    def _compile_call(self, proc: DirectedProc, op: DirCall, post: list):
+    def _compile_call(self, op: DirCall, post: list):
         callee = self.table.proc(op.rel, op.direction)
         ins = tuple(
             (p, a)
@@ -491,30 +555,17 @@ class DirectedEngine:
 
             return emit
 
-        def step(env: dict) -> Stream:
+        def step(table: dict, env: dict) -> Stream:
             sub_env = {p: env[a] for p, a in ins}
             emit = leave(env)
             # The single delay per call: same placement as the search engine.
-            return lambda: smap(proc_stream(callee, sub_env), emit)
+            return lambda: smap(proc_stream(callee, sub_env, table), emit)
 
         def first(env: dict) -> dict | None:
             callee_env = proc_first(callee, {p: env[a] for p, a in ins})
             return None if callee_env is None else leave(env)(callee_env)
 
-        same_call = (
-            callee is proc
-            and (proc.rel, proc.direction) in self._shareable
-            and all(p == a for p, a in ins)
-        )
-        if not same_call:
-            return _BIND, step, first
-
-        def self_step(me: list, env: dict) -> Stream:
-            # The running call's own stream, shared: no copy of the callee.
-            emit = leave(env)
-            return lambda: smap(me[0], emit)
-
-        return _SELF, self_step, first
+        return _BIND, step, first
 
     def _compile_enumerate(self, op: GenerateVar, post: list):
         var, type_name = op.var, op.var.type
@@ -535,7 +586,7 @@ class DirectedEngine:
 
             return fill
 
-        def step(env: dict) -> Stream:
+        def step(table: dict, env: dict) -> Stream:
             return smap(from_iterator(generate(type_name)), enter(env))
 
         def first(env: dict) -> dict | None:
@@ -554,6 +605,22 @@ class DirectedEngine:
                 f"symbolic hole {val.var!r} reached a destructuring operation"
             )
         return val
+
+
+def _table_key(key: tuple[str, str], values: list[Node]) -> tuple[str, ...]:
+    """A table entry: the procedure, then its ground in-values as one flat
+    tuple of constructor names in preorder.
+
+    Each constructor has a fixed arity, so the preorder names the values
+    exactly; hashing and comparing it recurses on no term, however deep.
+    """
+    out = list(key)
+    stack = values[::-1]
+    while stack:
+        term = stack.pop()
+        out.append(term.ctor)
+        stack.extend(term.args[::-1])
+    return tuple(out)
 
 
 def _compile_plug(term: Term):
@@ -617,8 +684,14 @@ def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
     return display_names(tuple(seen))
 
 
-def emit_proc(proc: DirectedProc, det: Det, inline: set[SourceId]) -> str:
-    """One procedure as text; ``inline`` is ``residual_plan`` of its table."""
+def emit_proc(
+    proc: DirectedProc,
+    det: Det,
+    inline: set[SourceId],
+    tabled: set[tuple[str, str]],
+) -> str:
+    """One procedure as text; ``inline`` is ``residual_plan`` of its table
+    and ``tabled`` its ``tabled_procs``, whose calls are marked ``# tabled``."""
     names = _proc_names(proc)
     ins = [names[p] for p, m in zip(proc.params, proc.direction) if m == "i"]
     outs = [names[p] for p, m in zip(proc.params, proc.direction) if m == "o"]
@@ -634,7 +707,9 @@ def emit_proc(proc: DirectedProc, det: Det, inline: set[SourceId]) -> str:
             lines.append("      succeed")
         for oi, op in enumerate(clause.ops):
             enumerates = (proc.rel, proc.direction, ci, oi) in inline
-            lines.append(f"      {_emit_op(op, names, enumerates)}")
+            reads = isinstance(op, DirCall) and (op.rel, op.direction) in tabled
+            mark = "  # tabled" if reads else ""
+            lines.append(f"      {_emit_op(op, names, enumerates)}{mark}")
     return "\n".join(lines)
 
 
@@ -670,7 +745,8 @@ def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> s
 def emit_text(table: ModeTable, rel: str, direction: str) -> str:
     procs = transitive_procs(table, rel, direction)
     inline = residual_plan(table)
+    tabled = tabled_procs(table, _out_residuals(table, inline))
     chunks = [
-        emit_proc(p, table.det(p.rel, p.direction), inline) for p in procs
+        emit_proc(p, table.det(p.rel, p.direction), inline, tabled) for p in procs
     ]
     return "\n\n".join(chunks) + "\n"

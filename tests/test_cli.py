@@ -294,6 +294,17 @@ def test_bench_unknown_suite_is_user_error(capsys):
     assert "balance" in err
 
 
+def test_bench_json_path_is_checked_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    def boom(rows, reps=bench.REPS):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(bench, "run_rows", boom)
+    missing = tmp_path / "missing" / "rows.json"
+    code, _, err = run_cli(capsys, "bench", "--suite", "sort", "--json", str(missing))
+    assert code == 1
+    assert "No such file or directory" in err
+
+
 def test_hash_mismatch_exits_two(capsys, monkeypatch):
     def boom(rows, reps=10):
         raise bench.HashMismatch("engines disagree")

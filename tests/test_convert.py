@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
@@ -186,7 +187,8 @@ def test_maybe_runs_inline_singleton_generation():
     table = analyze(normalize_program(program), [("r", "i")])
     assert table.det("isz", "oi") <= Det.SEMIDET
     eng = DirectedEngine(table)
-    # The guard u == w inspects isz's generated out, so it enumerates inline.
+    # isz's generated out u reaches the in-argument of check isz_ii(w, n)
+    # through w := u, so it enumerates inline.
     assert any(src[0] == "isz" for src in eng.inline)
     for n, want in [(0, [(nat(0),)]), (1, [])]:
         assert stream_all(eng, "r", "i", (nat(n),)) == want
@@ -216,10 +218,25 @@ def test_addo_iio_answers_past_the_recursion_limit_of_is_ground():
     assert [unnat(t) for t in answers[0]] == [9000, 3, 9003]
 
 
+def streams_built(monkeypatch) -> collections.Counter:
+    """Count the streams each (rel, direction) builds, in engines made after."""
+    built: collections.Counter = collections.Counter()
+    real = DirectedEngine._build_stream
+
+    def counting(self, proc, env, table):
+        built[proc.rel, proc.direction] += 1
+        return real(self, proc, env, table)
+
+    monkeypatch.setattr(DirectedEngine, "_build_stream", counting)
+    return built
+
+
 def test_addo_oio_reads_its_own_stream(addo_engine, monkeypatch):
-    # addo^oio(y) calls addo^oio(y): that call reads the running call's
-    # stream, so each answer follows from the one before it.
-    assert ("addo", "oio") in addo_engine._shared
+    # addo^oio(y) calls addo^oio(y): that call is a table hit on the running
+    # call's stream, so each answer follows from the one before it.
+    built = streams_built(monkeypatch)
+    engine_for("nat", [("addo", "oio")]).run("addo", "oio", (nat(3),), 300)
+    assert built == {("addo", "oio"): 1}
     program = corpus_program("nat")
     ref = run(program, "addo", (qhole(0), nat(3), qhole(1)), 300)
     assert addo_engine.run("addo", "oio", (nat(3),), 300) == ref
@@ -257,14 +274,16 @@ rel steps(y: Nat, x: Nat) =
 """
 
 
-def test_shared_self_calls_keep_the_reference_order():
+def test_shared_self_calls_keep_the_reference_order(monkeypatch):
     # Two calls of steps^io on its own input, one of them first in its
     # clause and one before another call: the order must not change.
     program = parse_program(STEPS_SRC)
+    built = streams_built(monkeypatch)
     eng = DirectedEngine(analyze(normalize_program(program), [("steps", "io")]))
-    assert ("steps", "io") in eng._shared
     ref = run(program, "steps", (nat(2), qhole(0)), 300)
     assert eng.run("steps", "io", (nat(2),), 300) == ref
+    # Both calls are table hits on the running call.
+    assert built["steps", "io"] == 1
 
 
 @settings(max_examples=40)
@@ -389,6 +408,77 @@ def test_leaves_io():
     eng = engine_for("balance", [("leaves", "io")])
     tree = Node("Node", (Node("Leaf", ()), Node("Node", (Node("Leaf", ()), Node("Leaf", ())))))
     assert eng.run("leaves", "io", (tree,), None) == [(tree, nat(3))]
+
+
+# --- tabling ---
+
+
+def untabled_engine(monkeypatch, name: str, requests) -> DirectedEngine:
+    """An engine that tables no procedure."""
+    with monkeypatch.context() as m:
+        m.setattr(convert_module, "tabled_procs", lambda table, out_res: set())
+        return engine_for(name, requests)
+
+
+def test_tabled_sorto_oi_keeps_the_order(sort_engine, monkeypatch):
+    program = corpus_program("sort")
+    untabled = untabled_engine(monkeypatch, "sort", [("sorto", "oi")])
+    for k in range(6):
+        for values in itertools.combinations(range(6), k):
+            target = natlist(list(values))
+            got = sort_engine.run("sorto", "oi", (target,), None)
+            assert got == untabled.run("sorto", "oi", (target,), None), values
+            ref = run(program, "sorto", (qhole(0, "NatList"), target), None)
+            # From four values on, the converter's schedule interleaves in
+            # another order than the search engine; the answer sets agree.
+            if k <= 3:
+                assert got == ref, values
+            else:
+                assert sorted(map(str, got)) == sorted(map(str, ref)), values
+
+
+def test_tabled_balance_keeps_the_reference_order():
+    program = corpus_program("balance")
+    eng = engine_for("balance", [("balanced", "oi")])
+    for n in range(1, 9):
+        ref = run(program, "balanced", (qhole(0, "Tree"), nat(n)), None)
+        assert eng.run("balanced", "oi", (nat(n),), None) == ref, n
+    eng = engine_for("balance", [("balanceo", "oo")])
+    ref = run(program, "balanceo", (qhole(0, "Tree"), qhole(1, "Tree")), 100)
+    assert eng.run("balanceo", "oo", (), 100) == ref
+
+
+def test_sorto_oi_builds_one_stream_per_sublist(monkeypatch):
+    built = streams_built(monkeypatch)
+    eng = engine_for("sort", [("sorto", "oi")])
+    assert len(eng.run("sorto", "oi", (natlist([0, 1, 2, 3, 4, 5]),), None)) == 720
+    # A 6-list has 64 sublists; each untabled branch rebuilt its own (1 957).
+    assert built["sorto", "oi"] <= 64
+
+
+def test_tabled_call_on_a_deep_input_answers():
+    # The table key of addo^oio(y) is built from y; a recursive hash of
+    # S^12000(O) raised RecursionError.
+    eng = engine_for("nat", [("addo", "oio")])
+    answers = eng.run("addo", "oio", (nat(12000),), 2)
+    assert [[unnat(t) for t in a] for a in answers] == [
+        [0, 12000, 12000],
+        [1, 12000, 12001],
+    ]
+
+
+def test_each_query_has_its_own_table(monkeypatch):
+    built = streams_built(monkeypatch)
+    eng = engine_for("balance", [("balanceo", "oo")])
+    eng.run("balanceo", "oo", (), 100)
+    first = dict(built)
+    built.clear()
+    eng.run("balanceo", "oo", (), 100)
+    # A table kept by the engine would let the second query read the first
+    # one's streams and build fewer.
+    assert built == first
+    # One stream per distinct size; each untabled branch rebuilt its own (695).
+    assert first["balanced", "oi"] == 7
 
 
 # --- residual generation ---
@@ -577,6 +667,18 @@ def test_emit_nondet_uses_interleave(addo_engine):
     text = emit_text(addo_engine.table, "addo", "ooi")
     assert "interleaveOf:" in text
     assert "proc addo_ooi(z) -> (x, y):  # nondet" in text
+
+
+def test_emit_marks_the_calls_that_read_the_table(sort_engine, addo_engine):
+    text = emit_text(sort_engine.table, "sorto", "oi")
+    # st is an out of inserto^ooi, so sorto^oi sorts it through the table.
+    assert "      (t) := sorto_oi(st)  # tabled\n" in text
+    # ys is sorto^oi's own input: that call sees each value once.
+    assert "      (h, st) := inserto_ooi(ys)\n" in text
+    assert text.count("# tabled") == 1
+    # A call that repeats the running one is a table hit on it.
+    oio = emit_text(addo_engine.table, "addo", "oio")
+    assert "      (x2, z2) := addo_oio(y)  # tabled\n" in oio
 
 
 def test_transitive_emission_order(sort_engine):
