@@ -47,13 +47,6 @@ def _load_program(spec: str) -> Program:
     )
 
 
-def _parse_inputs(rel: str, direction: str, texts: list[str]) -> tuple[Term, ...]:
-    want = direction.count("i")
-    if len(texts) != want:
-        raise UserError(f"{rel}@{direction} takes {want} --in terms, got {len(texts)}")
-    return tuple(map(parse_ground_term, texts))
-
-
 def _json_tree(term: Term) -> str:
     """Compact JSON of a ground term's constructor tree.
 
@@ -83,7 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
     relation = program.relation(args.rel)
     check_direction(args.dir, len(relation.params))
-    ins = _parse_inputs(args.rel, args.dir, args.inputs)
+    ins = tuple(map(parse_ground_term, args.inputs))
     if args.engine == "ref":
         query = query_args(relation, args.dir, ins)
         answers = ref_run(program, args.rel, query, args.n)

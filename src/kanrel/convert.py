@@ -3,10 +3,13 @@
 Each clause of a procedure is compiled once into a step plan, and that plan
 is the procedure's only executable form.  Procedures that can yield many
 answers run it on the same interleaving stream algebra as the search
-engine, with exactly one delay introduced per call, so that corpus programs
-produce answers in the same order under both engines.  Procedures that are
-at most semidet take the first answer of the same plan by walking its
-steps directly, with no streams allocated.
+engine, with exactly one delay introduced per call.  Both engines give the
+same answers.  Where the schedule keeps the source's call order they give
+them in the same order, list for list; where it reorders calls, only the
+answer multisets are sure to agree (converted ``sorto@oi`` orders its
+answers differently from four values on).  Procedures that are at most
+semidet take the first answer of the same plan by walking its steps
+directly, with no streams allocated.
 
 Each top-level query keeps a table of shared (call-by-need) streams, keyed
 by relation, direction and ground in-values (call-variant tabling, as in
@@ -28,10 +31,15 @@ keep every level alive.
 Generation is deferred: a ``GenerateVar`` normally binds its variable to a
 fresh symbolic hole instead of enumerating, and top-level grounding expands
 whatever holes remain in an answer.  That is only sound while no operation
-ever inspects the symbolic value, so a static pass taints every generated
-variable, follows the taint through assignments, matches and calls, and
-forces inline enumeration for any generator whose output can reach a
-guard, a match subject, or an in-argument.
+ever inspects the symbolic value.  ``static_plan`` decides, once per mode
+table and in one pass, which generators enumerate inline instead; the
+engine and ``kanrel convert`` both read its plan.  It taints each generated
+variable with its generator and follows the taint through assignments,
+matches and calls, with every generator deferred.  Taint is a union of
+independent flows, one per generator, so enumerating a generator inline
+removes exactly its own flow: the generators whose taint reaches a guard,
+a match subject or an in-argument run inline, and the residuals of each
+procedure's outs are the rest.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .goals import check_args
+from .goals import check_args, check_input_count
 from .interp import ground_answers
 from .modes import (
     Assign,
@@ -54,6 +62,7 @@ from .modes import (
     ModeTable,
     ModedOp,
     op_binds,
+    op_reads,
 )
 from .normal import FlatVar
 from .pretty import display_names
@@ -70,116 +79,87 @@ from .streams import (
 )
 
 
-class ConvertError(Exception):
-    """Directed execution was asked to do something impossible."""
-
-
-class ResidualViolation(ConvertError):
+class ResidualViolation(Exception):
     """A symbolic hole reached an operation that needs a concrete value."""
 
 
 # --- residual planning ---
 
 SourceId = tuple[str, str, int, int]
+OutResiduals = dict[tuple[str, str], tuple[frozenset, ...]]
 
 
 def _clause_taint(
-    proc: DirectedProc,
-    ci: int,
-    inline: set[SourceId],
-    out_res: dict[tuple[str, str], tuple[frozenset, ...]],
+    proc: DirectedProc, ci: int, out_res: OutResiduals
 ) -> tuple[set[SourceId], dict[VarId, frozenset]]:
-    clause = proc.clauses[ci]
+    """The generators that reach a guard, a match subject or an in-argument
+    of clause ci, and the generators each variable may hold, with every
+    generator deferred and ``out_res`` as the residuals of callees' outs."""
     taint: dict[VarId, frozenset] = {}
     violations: set[SourceId] = set()
-
-    def t(v: VarId) -> frozenset:
-        return taint.get(v, frozenset())
-
-    for oi, op in enumerate(clause.ops):
-        if isinstance(op, Guard):
-            violations |= t(op.var) | t(op.other)
-        elif isinstance(op, GuardCtor):
-            violations |= t(op.var)
-            for a in op.args:
-                violations |= t(a)
-        elif isinstance(op, Match):
-            violations |= t(op.var)
-            for a in op.args:
-                taint[a] = t(op.var)
-        elif isinstance(op, Assign):
-            if isinstance(op.term, FlatVar):
-                taint[op.var] = t(op.term.var)
-            else:
-                acc = frozenset()
-                for a in op.term.args:
-                    acc |= t(a)
-                taint[op.var] = acc
+    for oi, op in enumerate(proc.clauses[ci].ops):
+        read = frozenset().union(*(taint.get(v, ()) for v in op_reads(op)))
+        if isinstance(op, Assign):
+            taint[op.var] = read
         elif isinstance(op, GenerateVar):
-            source: SourceId = (proc.rel, proc.direction, ci, oi)
-            taint[op.var] = frozenset() if source in inline else frozenset({source})
-        elif isinstance(op, DirCall):
-            callee_res = out_res.get((op.rel, op.direction))
-            for a, m in zip(op.args, op.direction):
-                if m == "i":
-                    violations |= t(a)
-            for pos, (a, m) in enumerate(zip(op.args, op.direction)):
-                if m == "o":
-                    taint[a] = callee_res[pos] if callee_res else frozenset()
+            taint[op.var] = frozenset({(proc.rel, proc.direction, ci, oi)})
+        else:
+            violations |= read
+            if isinstance(op, Match):
+                taint.update(dict.fromkeys(op.args, read))
+            elif isinstance(op, DirCall):
+                taint.update(zip(op.outs, out_res[op.rel, op.direction]))
     return violations, taint
 
 
-def _out_residuals(
-    table: ModeTable, inline: set[SourceId]
-) -> dict[tuple[str, str], tuple[frozenset, ...]]:
-    res = {
-        key: tuple(frozenset() for _ in proc.params)
+def static_plan(
+    table: ModeTable,
+) -> tuple[set[SourceId], OutResiduals, set[tuple[str, str]]]:
+    """The inline generators of a table, the residual generators of each
+    procedure's outs, and the tabled procedures.
+
+    One fixpoint finds the generators that reach each procedure's outs with
+    every generator deferred.  Its last sweep, in which no out changes, sees
+    every generator that reaches a guard, a match subject or an
+    in-argument: those run inline and are dropped from the outs' residuals.
+    """
+    res: OutResiduals = {
+        key: tuple(frozenset() for _ in proc.outs)
         for key, proc in table.procs.items()
     }
     changed = True
     while changed:
         changed = False
+        inline: set[SourceId] = set()
         for key, proc in table.procs.items():
-            per_param = [set(s) for s in res[key]]
+            per_out = [set(s) for s in res[key]]
             for ci in range(len(proc.clauses)):
-                _, taint = _clause_taint(proc, ci, inline, res)
-                for i, (p, m) in enumerate(zip(proc.params, proc.direction)):
-                    if m == "o":
-                        per_param[i] |= taint.get(p, frozenset())
-            new = tuple(frozenset(s) for s in per_param)
+                violations, taint = _clause_taint(proc, ci, res)
+                inline |= violations
+                for s, p in zip(per_out, proc.outs):
+                    s |= taint.get(p, frozenset())
+            new = tuple(map(frozenset, per_out))
             if new != res[key]:
                 res[key] = new
                 changed = True
-    return res
+    out_res = {key: tuple(s - inline for s in sets) for key, sets in res.items()}
+    return inline, out_res, tabled_procs(table, out_res)
 
 
 def residual_plan(table: ModeTable) -> set[SourceId]:
     """Generators that must enumerate inline rather than stay symbolic."""
-    inline: set[SourceId] = set()
-    while True:
-        out_res = _out_residuals(table, inline)
-        violations: set[SourceId] = set()
-        for proc in table.procs.values():
-            for ci in range(len(proc.clauses)):
-                v, _ = _clause_taint(proc, ci, inline, out_res)
-                violations |= v
-        fresh = violations - inline
-        if not fresh:
-            return inline
-        inline |= fresh
+    return static_plan(table)[0]
 
 
-def tabled_procs(
-    table: ModeTable, out_res: dict[tuple[str, str], tuple[frozenset, ...]]
-) -> set[tuple[str, str]]:
+def tabled_procs(table: ModeTable, out_res: OutResiduals) -> set[tuple[str, str]]:
     """Procedures whose calls read the query's table of shared streams.
 
-    ``out_res`` is ``_out_residuals`` of the table.  A procedure is tabled
-    when it is nondet with no residual out (two uses of a shared answer
-    that holds a symbolic hole would be grounded together, and answers
-    lost) and some call of it may repeat on equal inputs: the call repeats
-    the running call on its own in-params, or takes an in-argument bound
-    earlier in its clause by a call's out or an inline enumeration,
+    ``out_res`` is ``static_plan``'s residuals of the table.  A procedure
+    is tabled when it is nondet with no residual out (two uses of a shared
+    answer that holds a symbolic hole would be grounded together, and
+    answers lost) and some call of it may repeat on equal inputs: the call
+    repeats the running call on its own in-params, or takes an in-argument
+    bound earlier in its clause by a call's out or an inline enumeration,
     directly or through ``match`` and ``:=``.
     """
     shareable = {
@@ -189,30 +169,19 @@ def tabled_procs(
     }
     tabled: set[tuple[str, str]] = set()
     for key, proc in table.procs.items():
-        own_ins = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
         for clause in proc.clauses:
             derived: set[VarId] = set()
             for op in clause.ops:
                 if isinstance(op, DirCall):
                     callee = (op.rel, op.direction)
-                    ins = [a for a, m in zip(op.args, op.direction) if m == "i"]
                     if callee in shareable and (
-                        (callee == key and ins == own_ins)
-                        or not derived.isdisjoint(ins)
+                        (callee == key and op.ins == proc.ins)
+                        or not derived.isdisjoint(op.ins)
                     ):
                         tabled.add(callee)
                     derived.update(op.outs)
-                elif isinstance(op, GenerateVar):
-                    derived.add(op.var)
-                elif isinstance(op, Match):
-                    if op.var in derived:
-                        derived.update(op.args)
-                elif isinstance(op, Assign):
-                    parts = (
-                        (op.term.var,) if isinstance(op.term, FlatVar) else op.term.args
-                    )
-                    if not derived.isdisjoint(parts):
-                        derived.add(op.var)
+                elif isinstance(op, GenerateVar) or not derived.isdisjoint(op_reads(op)):
+                    derived.update(op_binds(op))
     return tabled
 
 
@@ -238,14 +207,8 @@ class DirectedEngine:
     def __init__(self, table: ModeTable) -> None:
         self.table = table
         self.schema = table.nprog.schema
-        self.inline = residual_plan(table)
-        self._out_res = _out_residuals(table, self.inline)
+        self.inline, self._out_res, self._tabled = static_plan(table)
         self._holes = itertools.count(10_000_000)
-        # Each tabled procedure with the in-params that key its streams.
-        self._tabled = {
-            key: [p for p, m in zip(table.procs[key].params, key[1]) if m == "i"]
-            for key in tabled_procs(table, self._out_res)
-        }
         self._plans = {
             key: [
                 self._compile_clause(proc, ci, clause)
@@ -303,18 +266,13 @@ class DirectedEngine:
         return lambda: bind(self._proc_stream(proc, env), emit)
 
     def _entry_env(self, proc: DirectedProc, ins) -> dict[VarId, Term]:
-        in_params = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
         ins = tuple(ins)
-        if len(ins) != len(in_params):
-            raise ConvertError(
-                f"{proc.rel}^{proc.direction} takes "
-                f"{len(in_params)} inputs, got {len(ins)}"
-            )
-        for p, value in zip(in_params, ins):
+        check_input_count(proc.rel, proc.direction, ins)
+        for p, value in zip(proc.ins, ins):
             if not is_ground(value):
                 raise InvalidValue(f"input for {p!r} must be ground, got {value}")
-        check_args(self.schema, proc.rel, in_params, ins)
-        return dict(zip(in_params, ins))
+        check_args(self.schema, proc.rel, proc.ins, ins)
+        return dict(zip(proc.ins, ins))
 
     def _fresh_hole(self, type_name: str) -> Hole:
         return Hole(VarId(next(self._holes), type_name, "r"))
@@ -341,10 +299,9 @@ class DirectedEngine:
         if table is None:
             table = {}
         key = proc.rel, proc.direction
-        in_params = self._tabled.get(key)
-        if in_params is None:
+        if key not in self._tabled:
             return self._build_stream(proc, env, table)
-        entry = _table_key(key, [env[p] for p in in_params])
+        entry = _table_key(key, [env[p] for p in proc.ins])
         stream = table.get(entry)
         if stream is None:
             stream = table[entry] = share(self._build_stream(proc, env, table))
@@ -485,7 +442,10 @@ class DirectedEngine:
 
                 return step
             ctor, args = op.term.ctor, op.term.args
-            # Arity-specialized: these run once per element on hot paths.
+            # Arity-specialized: these run once per element on hot paths.  One
+            # generic step for every arity made perfbench nat_enum
+            # converted.query_s 0.113 -> 0.132 s (medians of 4 paired runs,
+            # seeds 1-4, slower in all 4; Python 3.11, 2-vCPU Xeon).
             if not args:
                 const = Node(ctor, ())
 
@@ -527,16 +487,8 @@ class DirectedEngine:
 
     def _compile_call(self, op: DirCall, post: list):
         callee = self.table.proc(op.rel, op.direction)
-        ins = tuple(
-            (p, a)
-            for a, p, m in zip(op.args, callee.params, op.direction)
-            if m == "i"
-        )
-        outs = tuple(
-            (a, p)
-            for a, p, m in zip(op.args, callee.params, op.direction)
-            if m == "o"
-        )
+        ins = tuple(zip(callee.ins, op.ins))
+        outs = tuple(zip(op.outs, callee.outs))
         post = tuple(post)
         proc_stream, proc_first = self._proc_stream, self._proc_first
 
@@ -690,11 +642,11 @@ def emit_proc(
     inline: set[SourceId],
     tabled: set[tuple[str, str]],
 ) -> str:
-    """One procedure as text; ``inline`` is ``residual_plan`` of its table
-    and ``tabled`` its ``tabled_procs``, whose calls are marked ``# tabled``."""
+    """One procedure as text; ``inline`` and ``tabled`` are from its table's
+    ``static_plan``, and calls of a tabled procedure are marked ``# tabled``."""
     names = _proc_names(proc)
-    ins = [names[p] for p, m in zip(proc.params, proc.direction) if m == "i"]
-    outs = [names[p] for p, m in zip(proc.params, proc.direction) if m == "o"]
+    ins = [names[p] for p in proc.ins]
+    outs = [names[p] for p in proc.outs]
     combinator = "firstOf" if det <= Det.SEMIDET else "interleaveOf"
     name = f"{proc.rel}_{proc.direction}"
     lines = [
@@ -728,11 +680,9 @@ def _emit_op(op: ModedOp, names: dict[VarId, str], enumerates: bool) -> str:
     if isinstance(op, GenerateVar):
         verb = "generate" if enumerates else "defer"
         return f"{verb} {names[op.var]} : {op.var.type}"
-    ins = [names[a] for a, m in zip(op.args, op.direction) if m == "i"]
-    outs = [names[a] for a, m in zip(op.args, op.direction) if m == "o"]
-    call = f"{op.rel}_{op.direction}({', '.join(ins)})"
-    if outs:
-        return f"({', '.join(outs)}) := {call}"
+    call = f"{op.rel}_{op.direction}({', '.join(names[a] for a in op.ins)})"
+    if op.outs:
+        return f"({', '.join(names[a] for a in op.outs)}) := {call}"
     return f"check {call}"
 
 
@@ -744,8 +694,7 @@ def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> s
 
 def emit_text(table: ModeTable, rel: str, direction: str) -> str:
     procs = transitive_procs(table, rel, direction)
-    inline = residual_plan(table)
-    tabled = tabled_procs(table, _out_residuals(table, inline))
+    inline, _, tabled = static_plan(table)
     chunks = [
         emit_proc(p, table.det(p.rel, p.direction), inline, tabled) for p in procs
     ]

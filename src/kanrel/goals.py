@@ -152,6 +152,16 @@ def check_args(
             )
 
 
+def check_input_count(rel: str, direction: str, ins: Sequence[Term]) -> None:
+    """Raise ArityMismatch unless there is one input per 'i' of direction;
+    both engines call this."""
+    want = direction.count("i")
+    if len(ins) != want:
+        raise ArityMismatch(
+            f"{rel}@{direction} takes {want} inputs (one per 'i'), got {len(ins)}"
+        )
+
+
 R = TypeVar("R")
 
 

@@ -30,6 +30,7 @@ from .goals import (
     TypeMismatch,
     Unify,
     check_args,
+    check_input_count,
     fold_goal,
 )
 from .schema import (
@@ -257,6 +258,8 @@ def ground_answers(
 
 def query_args(relation: Relation, direction: str, ins) -> tuple[Term, ...]:
     """Ground ins at the direction's 'i' positions, typed holes at its 'o's."""
+    ins = tuple(ins)
+    check_input_count(relation.name, direction, ins)
     supply = iter(ins)
     return tuple(
         next(supply) if m == "i" else Hole(VarId(900 + pos, p.type))

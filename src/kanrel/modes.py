@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 from .normal import (
     BaseOp,
@@ -100,15 +101,24 @@ class GenerateVar:
     var: VarId
 
 
+def moded(args: tuple[VarId, ...], direction: str, mode: str) -> tuple[VarId, ...]:
+    """The args at the positions whose character in direction is mode."""
+    return tuple(a for a, m in zip(args, direction) if m == mode)
+
+
 @dataclass(frozen=True)
 class DirCall:
     rel: str
     direction: str
     args: tuple[VarId, ...]
 
-    @property
+    @cached_property
+    def ins(self) -> tuple[VarId, ...]:
+        return moded(self.args, self.direction, "i")
+
+    @cached_property
     def outs(self) -> tuple[VarId, ...]:
-        return tuple(a for a, m in zip(self.args, self.direction) if m == "o")
+        return moded(self.args, self.direction, "o")
 
 
 ModedOp = Guard | GuardCtor | Match | Assign | GenerateVar | DirCall
@@ -124,6 +134,21 @@ def op_binds(op: ModedOp) -> tuple[VarId, ...]:
     return ()
 
 
+def op_reads(op: ModedOp) -> tuple[VarId, ...]:
+    """The variables an op reads; all are bound before it runs."""
+    if isinstance(op, Guard):
+        return (op.var, op.other)
+    if isinstance(op, GuardCtor):
+        return (op.var, *op.args)
+    if isinstance(op, Match):
+        return (op.var,)
+    if isinstance(op, Assign):
+        return (op.term.var,) if isinstance(op.term, FlatVar) else op.term.args
+    if isinstance(op, DirCall):
+        return op.ins
+    return ()
+
+
 @dataclass(frozen=True)
 class DirectedClause:
     locals: tuple[VarId, ...]
@@ -136,6 +161,14 @@ class DirectedProc:
     direction: str
     params: tuple[VarId, ...]
     clauses: tuple[DirectedClause, ...]
+
+    @cached_property
+    def ins(self) -> tuple[VarId, ...]:
+        return moded(self.params, self.direction, "i")
+
+    @cached_property
+    def outs(self) -> tuple[VarId, ...]:
+        return moded(self.params, self.direction, "o")
 
 
 _IN_PROGRESS = object()
@@ -227,7 +260,7 @@ class _Analyzer:
         params: tuple[VarId, ...],
         clause: FlatClause,
     ) -> DirectedClause:
-        bound = {p for p, m in zip(params, direction) if m == "i"}
+        bound = set(moded(params, direction, "i"))
         remaining: list[tuple[int, BaseOp]] = list(enumerate(clause.ops))
         locals_out = list(clause.locals)
         ops: list[ModedOp] = []
@@ -244,10 +277,8 @@ class _Analyzer:
             locals_out.extend(choice.new_locals)
             for mop in choice.mops:
                 bound.update(op_binds(mop))
-        for p, m in zip(params, direction):
-            if m == "o" and p not in bound:
-                ops.append(GenerateVar(p))
-                bound.add(p)
+        outs = moded(params, direction, "o")
+        ops.extend(GenerateVar(p) for p in outs if p not in bound)
         return DirectedClause(tuple(locals_out), tuple(ops))
 
     def _pick(
@@ -400,11 +431,10 @@ def _pair_exclusive(a: DirectedClause, b: DirectedClause, in_params) -> bool:
 
 
 def _clauses_exclusive(proc: DirectedProc) -> bool:
-    in_params = [p for p, m in zip(proc.params, proc.direction) if m == "i"]
     clauses = proc.clauses
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
-            if not _pair_exclusive(clauses[i], clauses[j], in_params):
+            if not _pair_exclusive(clauses[i], clauses[j], proc.ins):
                 return False
     return True
 

@@ -314,21 +314,40 @@ class _Parser:
         rhs = self.parse_term()
         return SUnify(lhs, rhs)
 
-    def parse_term(self) -> STerm:
-        tok = self.advance()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise ParseError(f"expected a term, found {tok.text!r} at {tok.at()}")
-        if tok.text[0].islower():
-            return SVar(tok.text)
-        args: list[STerm] = []
-        if self.at_sym("("):
-            self.advance()
-            args.append(self.parse_term())
-            while self.at_sym(","):
+    def parse_term(self, var=SVar, ctor=SCtor):
+        """One term, built by ``var(name)`` and ``ctor(name, args)``.
+
+        Iterative, so a term's depth is not bounded by the stack; tokens are
+        read and errors raised as by recursive descent.
+        """
+        # One frame per constructor whose ')' is still to come: its name and
+        # the arguments built so far.
+        open_ctors: list[tuple[str, list]] = []
+        while True:
+            tok = self.advance()
+            if tok.kind != "ident" or tok.text in KEYWORDS:
+                raise ParseError(f"expected a term, found {tok.text!r} at {tok.at()}")
+            if tok.text[0].islower():
+                term = var(tok.text)
+            elif self.at_sym("("):
                 self.advance()
-                args.append(self.parse_term())
-            self.expect_sym(")")
-        return SCtor(tok.text, tuple(args))
+                open_ctors.append((tok.text, []))
+                continue
+            else:
+                term = ctor(tok.text, ())
+            # term is complete: add it to the innermost open constructor,
+            # and close each constructor whose last argument it completes.
+            while open_ctors:
+                name, args = open_ctors[-1]
+                args.append(term)
+                if self.at_sym(","):
+                    self.advance()
+                    break
+                self.expect_sym(")")
+                open_ctors.pop()
+                term = ctor(name, tuple(args))
+            else:
+                return term
 
 
 # --- type inference for fresh variables ---
@@ -539,30 +558,19 @@ def parse_program(text: str) -> Program:
 def parse_ground_term(text: str) -> Node:
     """Parse one ground term, such as a query input; variables are rejected.
 
-    The term is not typed here: the engines type their inputs.  The Node is
-    built without recursion, in post-order over the surface term.
+    The term is not typed here: the engines type their inputs.  Nodes are
+    built as the term is parsed; a variable is reported only once the whole
+    text has parsed, so a syntax error is reported first.
     """
     parser = _Parser(text)
-    sterm = parser.parse_term()
+    variables: list[str] = []
+    term = parser.parse_term(var=variables.append, ctor=Node)
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected {trailing.text!r} at {trailing.at()}")
-    built: list[Node] = []
-    # Surface terms still to build; True once their arguments are built.
-    pending: list[tuple[STerm, bool]] = [(sterm, False)]
-    while pending:
-        s, args_built = pending.pop()
-        if isinstance(s, SVar):
-            raise ParseError(f"variable {s.name!r} is not allowed in a ground term")
-        if args_built:
-            cut = len(built) - len(s.args)
-            node = Node(s.name, tuple(built[cut:]))
-            del built[cut:]
-            built.append(node)
-        else:
-            pending.append((s, True))
-            pending.extend((a, False) for a in reversed(s.args))
-    return built[0]
+    if variables:
+        raise ParseError(f"variable {variables[0]!r} is not allowed in a ground term")
+    return term
 
 
 def corpus_names() -> tuple[str, ...]:

@@ -30,12 +30,10 @@ from typing import Any, Callable, Iterator, Sequence
 # the converter's semidet path (``_proc_first`` plus a call step's
 # ``first``, two frames per level, from addo@iio a=512), ``Node.__eq__`` in
 # a base-case guard (converted addo@iii a=256), and the search engine's
-# recursive ``interp.unify`` (ref addo@iii a=1024).  The parser's
-# recursive ``parse_term`` needs it for deep query terms as well, and so
-# does ``convert._compile_plug``, one frame per level.  Tests that overflow
-# without it: the parser's ``TestQueryTerms::test_deep_term``, the three
-# deep-term CLI tests, and in test_convert the past-the-limit ``addo@iio``,
-# the ``addo@oio`` own-stream and the chain-grounding tests.
+# recursive ``interp.unify`` (ref addo@iii a=1024).  ``convert._compile_plug``
+# recurses too, one frame per level.  Tests that overflow without it: the
+# two deep-answer CLI tests, and in test_convert the past-the-limit
+# ``addo@iio``, the ``addo@oio`` own-stream and the chain-grounding tests.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 Stream = Any  # None | tuple[Any, "Stream"] | Callable[[], "Stream"]

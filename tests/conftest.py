@@ -7,9 +7,13 @@ oracles use native Python ints and lists.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
+from kanrel.convert import DirectedEngine
 from kanrel.goals import Call, Conj, Disj, Fresh, Program, Relation, Unify
+from kanrel.modes import ModeTable, SchedulingStuck, analyze
+from kanrel.normal import normalize_program
 from kanrel.parser import load_corpus
 from kanrel.schema import (
     CtorDecl,
@@ -32,12 +36,26 @@ def corpus_program(name: str) -> Program:
 @lru_cache(maxsize=None)
 def directed_engine(name: str, requests: tuple[tuple[str, str], ...]):
     """One directed engine per corpus program and request set."""
-    from kanrel.convert import DirectedEngine
-    from kanrel.modes import analyze
-    from kanrel.normal import normalize_program
-
     nprog = normalize_program(corpus_program(name))
     return DirectedEngine(analyze(nprog, list(requests)))
+
+
+@lru_cache(maxsize=None)
+def schedulable_corpus_tables() -> tuple[tuple[tuple[str, str, str], ModeTable], ...]:
+    """Each (corpus, relation, direction) that schedules, with its table."""
+    out = []
+    for name in ("nat", "sort", "balance", "typecheck"):
+        nprog = normalize_program(corpus_program(name))
+        for rel in nprog.relations:
+            for chars in itertools.product("io", repeat=len(rel.params)):
+                d = "".join(chars)
+                try:
+                    table = analyze(nprog, [(rel.name, d)])
+                except SchedulingStuck:
+                    continue
+                out.append(((name, rel.name, d), table))
+    return tuple(out)
+
 
 Decls = dict[str, list[tuple[str, list[str]]]]
 

@@ -110,6 +110,8 @@ def test_run_reads_files_outside_the_bundle(tmp_path, capsys):
         ["run", "nat", "--rel", "nosuch", "--dir", "io", "--in", "O"],
         ["run", "nat", "--rel", "addo", "--dir", "xo", "--in", "O"],
         ["run", "nat", "--rel", "addo", "--dir", "ioo"],
+        ["run", "nat", "--rel", "addo", "--dir", "ioo", "--engine", "converted"],
+        ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "O", "--in", "O"],
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "S(_)"],
         ["run", "nat", "--rel", "addo", "--dir", "ioo", "--in", "Nil"],
         ["frobnicate"],
@@ -118,7 +120,8 @@ def test_run_reads_files_outside_the_bundle(tmp_path, capsys):
         ["bench", "--suite", "sort", "--reps", "0"],
     ],
     ids=[
-        "file", "rel", "dir", "missing-in", "hole-in", "wrong-type", "command",
+        "file", "rel", "dir", "missing-in", "missing-in-converted", "extra-in",
+        "hole-in", "wrong-type", "command",
         "negative-n", "modes-command", "zero-reps",
     ],
 )

@@ -14,21 +14,28 @@ import kanrel.interp as interp_module
 import kanrel.schema as schema_module
 import kanrel.streams as streams_module
 from kanrel.convert import (
-    ConvertError,
     DirectedEngine,
     emit_text,
     residual_plan,
+    static_plan,
     transitive_procs,
 )
 from kanrel.goals import ArityMismatch, TypeMismatch
 from kanrel.interp import query_args, run
-from kanrel.modes import Det, ModeError, analyze
+from kanrel.modes import Det, DirCall, ModeError, analyze
 from kanrel.normal import normalize_program
 from kanrel.parser import parse_program
 from kanrel.schema import Hole, InvalidValue, Node, UnknownCtor, VarId
 from kanrel.streams import stream_iter, take
 
-from conftest import corpus_program, nat, natlist, unnat, unnatlist
+from conftest import (
+    corpus_program,
+    nat,
+    natlist,
+    schedulable_corpus_tables,
+    unnat,
+    unnatlist,
+)
 
 ALL_ADDO_DIRS = ["iii", "iio", "ioi", "ioo", "oii", "oio", "ooi", "ooo"]
 
@@ -484,6 +491,23 @@ def test_each_query_has_its_own_table(monkeypatch):
 # --- residual generation ---
 
 
+def test_inline_generators_leave_no_residual_out():
+    table = analyze(normalize_program(corpus_program("sort")), [("inserto", "ooo")])
+    inline, out_res, tabled = static_plan(table)
+    # inserto^ooo generates its out x and leo^oo its out b, so with every
+    # generator deferred both procedures have a residual out.  Both
+    # generators run inline, which leaves no residual: a plan that did not
+    # subtract them would table neither procedure.
+    into_outs = {
+        (rel, d)
+        for rel, d, ci, oi in inline
+        if table.procs[rel, d].clauses[ci].ops[oi].var in table.procs[rel, d].outs
+    }
+    assert into_outs == {("inserto", "ooo"), ("leo", "oo")}
+    assert not any(any(res) for res in out_res.values())
+    assert tabled == {("gto", "io"), ("inserto", "ooo"), ("leo", "oo")}
+
+
 def test_corpus_plans_are_fully_residual(addo_engine, sort_engine, type_engine):
     assert addo_engine.inline == set()
     assert sort_engine.inline == set()
@@ -593,7 +617,7 @@ def test_plain_generation_stays_residual():
 def test_entry_validation(addo_engine):
     with pytest.raises(InvalidValue):
         addo_engine.run("addo", "iio", (qhole(0), nat(1)), 1)
-    with pytest.raises(ConvertError):
+    with pytest.raises(ArityMismatch):
         addo_engine.run("addo", "iio", (nat(1),), 1)
     with pytest.raises(UnknownCtor):
         addo_engine.run("addo", "iio", (Node("Nil", ()), nat(1)), 1)
@@ -645,6 +669,16 @@ def test_engines_report_ill_typed_inputs_in_the_same_words(value):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("ins", [(), (nat(1), nat(2))], ids=["too-few", "too-many"])
+def test_engines_count_inputs_alike(addo_engine, ins):
+    with pytest.raises(ArityMismatch) as ref:
+        query_args(corpus_program("nat").relation("addo"), "ioo", ins)
+    with pytest.raises(ArityMismatch) as converted:
+        addo_engine.run("addo", "ioo", ins, 1)
+    want = f"addo@ioo takes 1 inputs (one per 'i'), got {len(ins)}"
+    assert str(ref.value) == str(converted.value) == want
+
+
 # --- emission ---
 
 
@@ -679,6 +713,47 @@ def test_emit_marks_the_calls_that_read_the_table(sort_engine, addo_engine):
     # A call that repeats the running one is a table hit on it.
     oio = emit_text(addo_engine.table, "addo", "oio")
     assert "      (x2, z2) := addo_oio(y)  # tabled\n" in oio
+
+
+def printed_plan(text: str) -> tuple[set, set]:
+    """(relation, direction, clause, op) of each ``generate`` line and of each
+    call marked ``# tabled`` in the text of ``emit_text``."""
+    generated, marked = set(), set()
+    for line in text.splitlines():
+        if line.startswith("proc "):
+            rel, _, direction = line[len("proc ") : line.index("(")].rpartition("_")
+            ci = -1
+        elif line == "    allOf:":
+            ci, oi = ci + 1, 0
+        elif line.startswith("      ") and line != "      succeed":
+            if line.startswith("      generate "):
+                generated.add((rel, direction, ci, oi))
+            if line.endswith("  # tabled"):
+                marked.add((rel, direction, ci, oi))
+            oi += 1
+    return generated, marked
+
+
+def test_convert_prints_what_runs():
+    tables = schedulable_corpus_tables()
+    with_inline = with_marks = 0
+    for (name, rel, d), table in tables:
+        eng = DirectedEngine(table)
+        procs = transitive_procs(table, rel, d)
+        keys = {(p.rel, p.direction) for p in procs}
+        tabled_calls = {
+            (p.rel, p.direction, ci, oi)
+            for p in procs
+            for ci, clause in enumerate(p.clauses)
+            for oi, op in enumerate(clause.ops)
+            if isinstance(op, DirCall) and (op.rel, op.direction) in eng._tabled
+        }
+        generated, marked = printed_plan(emit_text(table, rel, d))
+        assert generated == {s for s in eng.inline if s[:2] in keys}, (name, rel, d)
+        assert marked == tabled_calls, (name, rel, d)
+        with_inline += bool(generated)
+        with_marks += bool(marked)
+    assert (len(tables), with_inline, with_marks) == (72, 8, 20)
 
 
 def test_transitive_emission_order(sort_engine):

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
-    for top in ("src", "scripts", "tests")
+    for top in ("src", "tests")
     for p in (ROOT / top).rglob("*.py")
 )
 

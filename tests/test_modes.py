@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from kanrel.modes import (
@@ -28,10 +26,9 @@ from kanrel.modes import (
 from kanrel.normal import FlatCtor, FlatVar, normalize_program
 from kanrel.parser import parse_program
 
-from conftest import corpus_program
+from conftest import corpus_program, schedulable_corpus_tables
 
 ALL_ADDO_DIRS = ["iii", "iio", "ioi", "ioo", "oii", "oio", "ooi", "ooo"]
-CORPORA = ["nat", "sort", "balance", "typecheck"]
 
 
 def table_for(name: str, requests) -> ModeTable:
@@ -414,30 +411,12 @@ def test_corpus_wide_validation():
             validate_proc(proc)
 
 
-def schedulable_corpus_tables():
-    """Each (corpus, relation, direction) that schedules, with its table."""
-    out = []
-    for name in CORPORA:
-        nprog = normalize_program(corpus_program(name))
-        for rel in nprog.relations:
-            for chars in itertools.product("io", repeat=len(rel.params)):
-                d = "".join(chars)
-                try:
-                    table = analyze(nprog, [(rel.name, d)])
-                except SchedulingStuck:
-                    continue
-                out.append(((name, rel.name, d), table))
-    return out
-
-
 def late_checks(proc: DirectedProc) -> list[tuple[int, int]]:
     """(clause, op) of each check scheduled after a binding call or a generate
     that followed the op binding the check's last argument."""
     late = []
     for ci, clause in enumerate(proc.clauses):
-        bound_at = {
-            p: -1 for p, m in zip(proc.params, proc.direction) if m == "i"
-        }
+        bound_at = dict.fromkeys(proc.ins, -1)
         for i, op in enumerate(clause.ops):
             if isinstance(op, DirCall) and not op.outs:
                 ready = max(bound_at[a] for a in op.args)

@@ -231,3 +231,8 @@ class TestQueryTerms:
         # Compared as text: dataclass == recurses once per level.
         text = "S(" * 10_000 + "O" + ")" * 10_000
         assert format_term(parse_ground_term(text)) == text
+
+    def test_term_deeper_than_the_recursion_limit(self):
+        # Recursive descent raised RecursionError from about S^20000(O).
+        text = "S(" * 50_000 + "O" + ")" * 50_000
+        assert format_term(parse_ground_term(text)) == text
