@@ -5,8 +5,9 @@ prints the flattened clauses in re-parseable surface syntax, ``convert``
 prints the scheduled directed procedures with their determinism, and
 ``bench`` times the bundled corpus suites under both engines.
 
-Exit codes: 0 on success, 1 on a user error (bad file, bad query, direction
-that cannot be scheduled), 2 on an internal invariant violation.
+Exit codes: 0 on success, 1 on a user error (bad file, bad query, malformed
+direction; every well-formed direction schedules), 2 on an internal
+invariant violation.
 """
 
 from __future__ import annotations

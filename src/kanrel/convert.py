@@ -1,15 +1,19 @@
 """Execution of directed procedures.
 
-Each clause of a procedure is compiled once into a step plan, and that plan
-is the procedure's only executable form.  Procedures that can yield many
-answers run it on the same interleaving stream algebra as the search
-engine, with exactly one delay introduced per call.  Both engines give the
-same answers.  Where the schedule keeps the source's call order they give
-them in the same order, list for list; where it reorders calls, only the
-answer multisets are sure to agree (converted ``sorto@oi`` orders its
-answers differently from four values on).  Procedures that are at most
-semidet take the first answer of the same plan by walking its steps
-directly, with no streams allocated.
+Each clause of a procedure is compiled once into a plan ``(lead, steps)``,
+and that plan is the procedure's only executable form.  Each step is one
+call or inline enumeration, with the ops after it fused into its
+per-element function; ``lead`` fuses the ops before the first step, and is
+None when there are none.  A step is a pair ``(fn, first)``.  Procedures
+that can yield many answers run the ``fn``s on the same interleaving
+stream algebra as the search engine, with exactly one delay introduced per
+call.  Both engines give the same answers.  Where the schedule keeps the
+source's call order they give them in the same order, list for list; where
+it reorders calls, only the answer multisets are sure to agree (converted
+``sorto@oi`` orders its answers differently from four values on).
+Procedures that are at most semidet take the first answer of the same plan
+by running its lead and then each step's ``first``, with no streams
+allocated.
 
 Each top-level query keeps a table of shared (call-by-need) streams, keyed
 by relation, direction and ground in-values (call-variant tabling, as in
@@ -187,9 +191,6 @@ def tabled_procs(table: ModeTable, out_res: OutResiduals) -> set[tuple[str, str]
 
 # --- runtime ---
 
-# Kinds of plan step.
-_FUSED, _BIND = "fused", "bind"
-
 
 def _check_equal(a: Term, b: Term) -> bool:
     if a == b:
@@ -279,11 +280,13 @@ class DirectedEngine:
 
     # --- execution ---
     #
-    # Each clause is compiled once into a step plan.  Maximal runs of ops
-    # that never suspend (guards, matches, assigns, residual generation) are
-    # fused: a leading run into one function of the entry env, a later one
-    # into the smap of the step before it.  Only calls and inline generation
-    # bind; smap keeps the per-op bind chain's stream shape and answer order.
+    # Each clause is compiled once into a plan ``(lead, steps)``.  Only calls
+    # and inline generation can yield many envs or suspend; each of them is
+    # a step.  The ops before the first step, which never suspend (guards,
+    # matches, assigns, deferred generation), are fused into ``lead``, a
+    # function of the entry env; the ops after a step are fused into that
+    # step's per-element function.  smap keeps the per-op bind chain's
+    # stream shape and answer order.
 
     def _proc_stream(
         self, proc: DirectedProc, env: dict, table: dict | None = None
@@ -308,77 +311,61 @@ class DirectedEngine:
         return stream
 
     def _build_stream(self, proc: DirectedProc, env: dict, table: dict) -> Stream:
-        plans = self._plans[proc.rel, proc.direction]
-        return mplus_all([self._run_plan(plan, env, table) for plan in plans])
+        """The interleaved answer envs of the procedure's plans.
 
-    def _run_plan(self, plan: list, env: dict, table: dict) -> Stream:
-        if not plan:
-            return unit(env)
-        kind, fn0, _ = plan[0]
-        if kind is _FUSED:
-            got = fn0(env)
-            out = None if got is None else unit(got)
-        else:
-            out = fn0(table, env)
-        for _, fn, _ in plan[1:]:
-            out = bind(out, partial(fn, table))
-        return out
+        ``bind(unit(env), f)`` is ``f(env)``, shape and forcing included, so
+        the first step is applied to the lead's env directly.
+        """
+        streams = []
+        for lead, steps in self._plans[proc.rel, proc.direction]:
+            got = env if lead is None else lead(env)
+            if got is not None:
+                out = steps[0][0](table, got) if steps else unit(got)
+                for fn, _ in steps[1:]:
+                    out = bind(out, partial(fn, table))
+                streams.append(out)
+        return mplus_all(streams)
 
     def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
         """First answer of the procedure's plans, without building streams.
 
         Only for procedures that are at most semidet.  Each of their steps
         yields at most one env (callees are at most semidet, and inline
-        generation fills only singleton types), so walking the steps' first
-        functions in order finds the one answer the stream would yield.
+        generation fills only singleton types), so walking the lead and the
+        steps' first functions in order finds the one answer the stream
+        would yield.
         """
-        for plan in self._plans[proc.rel, proc.direction]:
-            got = env
-            for _, _, first in plan:
-                got = first(got)
+        for lead, steps in self._plans[proc.rel, proc.direction]:
+            got = env if lead is None else lead(env)
+            # step[1] is the step's first.  Unpacking each step here instead
+            # made converted addo@iio at a=500 8% slower (Python 3.11).
+            for step in steps:
                 if got is None:
                     break
-            else:
+                got = step[1](got)
+            if got is not None:
                 return got
         return None
 
-    def _compile_clause(
-        self, proc: DirectedProc, ci: int, clause: DirectedClause
-    ) -> list:
-        """Plan: list of (kind, fn, first); fused fns map env -> env | None.
+    def _compile_clause(self, proc: DirectedProc, ci: int, clause: DirectedClause):
+        """Plan ``(lead, steps)``; see ``_compile_step`` for a step.
 
-        A bind step's fn maps the query's table and an env to a stream of
-        envs, and its first maps an env to the step's first surviving env
-        or None; a fused step is its own first.  A mature run after a call
-        or an enumeration is absorbed into that step's per-element function
-        (one dict copy and one map call per element, not a stream layer), so
-        a fused step can only lead a plan.
+        ``lead`` maps the entry env to a new env or None, and is None when
+        no op precedes the first step.
         """
-        plan: list = []
-        run: list = []
-        pending = None
-
-        def flush(nxt) -> None:
-            nonlocal run, pending
-            if pending is not None:
-                plan.append(pending(run))
-            elif run:
-                fused = self._fuse(run)
-                plan.append((_FUSED, fused, fused))
-            run = []
-            pending = nxt
-
+        heads: list[ModedOp] = []
+        runs: list[list] = [[]]
         for oi, op in enumerate(clause.ops):
-            if isinstance(op, DirCall):
-                flush(partial(self._compile_call, op))
-            elif isinstance(op, GenerateVar) and (
-                (proc.rel, proc.direction, ci, oi) in self.inline
+            if isinstance(op, DirCall) or (
+                isinstance(op, GenerateVar)
+                and (proc.rel, proc.direction, ci, oi) in self.inline
             ):
-                flush(partial(self._compile_enumerate, op))
+                heads.append(op)
+                runs.append([])
             else:
-                run.append(self._compile_mature(op))
-        flush(None)
-        return plan
+                runs[-1].append(self._compile_mature(op))
+        lead = self._fuse(runs[0]) if runs[0] else None
+        return lead, tuple(map(self._compile_step, heads, runs[1:]))
 
     @staticmethod
     def _fuse(steps: list):
@@ -485,20 +472,36 @@ class DirectedEngine:
 
         return step
 
-    def _compile_call(self, op: DirCall, post: list):
-        callee = self.table.proc(op.rel, op.direction)
-        ins = tuple(zip(callee.ins, op.ins))
-        outs = tuple(zip(op.outs, callee.outs))
+    def _compile_step(self, op: DirCall | GenerateVar, post: list):
+        """A call or an inline enumeration, then the fused ops ``post``.
+
+        Returns ``(fn, first)``.  ``fn`` maps the query's table and an env to
+        a stream of envs; ``first`` maps an env to the step's first
+        surviving env, or None.  Each element of a callee's stream is its
+        env, and each enumerated value comes as a 1-tuple, so one per-element
+        continuation copies either kind's outs and runs ``post``: one dict
+        copy and one smap call per element, not a stream layer.
+
+        The semidet path spends two Python frames per recursion level:
+        ``_proc_first`` and a call step's ``first``, which calls it directly.
+        A third frame per level would lower the deepest answer that fits
+        under the recursion limit.
+        """
         post = tuple(post)
-        proc_stream, proc_first = self._proc_stream, self._proc_first
+        if isinstance(op, GenerateVar):
+            outs = ((op.var, 0),)
+        else:
+            callee = self.table.proc(op.rel, op.direction)
+            ins = tuple(zip(callee.ins, op.ins))
+            outs = tuple(zip(op.outs, callee.outs))
 
         def leave(env: dict):
-            """Per-call continuation: copy the callee's outs, run post."""
+            """Per-call continuation: copy the outs, run post."""
 
-            def emit(callee_env: dict) -> dict | None:
+            def emit(got) -> dict | None:
                 env2 = dict(env)
                 for a, p in outs:
-                    env2[a] = callee_env[p]
+                    env2[a] = got[p]
                 for s in post:
                     env2 = s(env2)
                     if env2 is None:
@@ -507,6 +510,24 @@ class DirectedEngine:
 
             return emit
 
+        if isinstance(op, GenerateVar):
+            generate, type_name = self.schema.generate, op.var.type
+
+            def step(table: dict, env: dict) -> Stream:
+                return smap(from_iterator(zip(generate(type_name))), leave(env))
+
+            def first(env: dict) -> dict | None:
+                emit = leave(env)
+                for value in zip(generate(type_name)):
+                    env2 = emit(value)
+                    if env2 is not None:
+                        return env2
+                return None
+
+            return step, first
+
+        proc_stream, proc_first = self._proc_stream, self._proc_first
+
         def step(table: dict, env: dict) -> Stream:
             sub_env = {p: env[a] for p, a in ins}
             emit = leave(env)
@@ -514,42 +535,10 @@ class DirectedEngine:
             return lambda: smap(proc_stream(callee, sub_env, table), emit)
 
         def first(env: dict) -> dict | None:
-            callee_env = proc_first(callee, {p: env[a] for p, a in ins})
-            return None if callee_env is None else leave(env)(callee_env)
+            got = proc_first(callee, {p: env[a] for p, a in ins})
+            return None if got is None else leave(env)(got)
 
-        return _BIND, step, first
-
-    def _compile_enumerate(self, op: GenerateVar, post: list):
-        var, type_name = op.var, op.var.type
-        post = tuple(post)
-        generate = self.schema.generate
-
-        def enter(env: dict):
-            """Per-call continuation: bind the value, run post."""
-
-            def fill(value: Term) -> dict | None:
-                env2 = dict(env)
-                env2[var] = value
-                for s in post:
-                    env2 = s(env2)
-                    if env2 is None:
-                        return None
-                return env2
-
-            return fill
-
-        def step(table: dict, env: dict) -> Stream:
-            return smap(from_iterator(generate(type_name)), enter(env))
-
-        def first(env: dict) -> dict | None:
-            fill = enter(env)
-            for value in generate(type_name):
-                env2 = fill(value)
-                if env2 is not None:
-                    return env2
-            return None
-
-        return _BIND, step, first
+        return step, first
 
     def _concrete(self, val: Term) -> Node:
         if isinstance(val, Hole):

@@ -19,12 +19,16 @@ bound, which only test, whether or not their direction is analyzed yet),
 calls in an already-known or in-progress direction, calls requiring a fresh
 direction inference, and operations that need generation.  So a check runs
 as soon as its inputs are bound, ahead of any call that binds.  Out
-parameters still unbound after the last operation are generated.  A
-procedure's determinism is the least fixed point of: generation is nondet
-(semidet for singleton types), guards and matches are semidet, assignments
-are det, calls take the callee's determinism, and a multi-clause procedure
-is nondet unless every clause pair tests some bound parameter against
-distinct constructors.
+parameters still unbound after the last operation are generated.  Every
+operation is runnable at every step: a call runs in whatever direction its
+bound arguments give, and generation binds whatever nothing else binds, so
+every direction schedules.
+
+A procedure's determinism is the least fixed point of: generation is
+nondet (semidet for singleton types), guards and matches are semidet,
+assignments are det, calls take the callee's determinism, and a
+multi-clause procedure is nondet unless every clause pair tests some bound
+parameter against distinct constructors.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ from .schema import TermSchema, VarId, VarSupply
 
 class ModeError(Exception):
     """Direction analysis failed."""
-
-
-class SchedulingStuck(ModeError):
-    """No runnable operation remains for some clause in this direction."""
 
 
 def check_direction(direction: str, arity: int) -> None:
@@ -171,24 +171,11 @@ class DirectedProc:
         return moded(self.params, self.direction, "o")
 
 
-_IN_PROGRESS = object()
-_FAILED = object()
-
-
-@dataclass(frozen=True)
-class _Choice:
-    rank: int
-    pos: int
-    index: int
-    mops: tuple[ModedOp, ...]
-    new_locals: tuple[VarId, ...]
-    infer_key: tuple[str, str] | None
-
-
 class _Analyzer:
     def __init__(self, nprog: NormalProgram) -> None:
         self.nprog = nprog
-        self.memo: dict[tuple[str, str], object] = {}
+        # A direction maps to None while its clauses are being scheduled.
+        self.memo: dict[tuple[str, str], DirectedProc | None] = {}
         top = 0
         for rel in nprog.relations:
             for v in rel.params:
@@ -201,140 +188,71 @@ class _Analyzer:
                         top = max(top, v.id + 1)
         self.supply = VarSupply(top)
 
-    # --- public entry ---
-
-    def infer(self, rel_name: str, direction: str) -> DirectedProc:
+    def infer(self, rel_name: str, direction: str) -> None:
         key = (rel_name, direction)
-        state = self.memo.get(key)
-        if isinstance(state, DirectedProc):
-            return state
-        if state is _FAILED:
-            raise SchedulingStuck(
-                f"{rel_name}^{direction} is not schedulable"
-            )
-        if state is _IN_PROGRESS:
-            raise ModeError(f"infer re-entered for {rel_name}")
+        if key in self.memo:
+            return
         rel = self.nprog.relation(rel_name)
         check_direction(direction, len(rel.params))
-        self.memo[key] = _IN_PROGRESS
-        try:
-            clauses = tuple(
-                self._schedule(rel_name, direction, rel.params, clause)
-                for clause in rel.clauses
-            )
-        except SchedulingStuck:
-            self.memo[key] = _FAILED
-            self._purge(key)
-            raise
-        proc = DirectedProc(rel_name, direction, rel.params, clauses)
-        self.memo[key] = proc
-        return proc
-
-    def _purge(self, failed: tuple[str, str]) -> None:
-        # Procedures scheduled against a direction that later failed must be
-        # rebuilt from scratch, since they would now schedule differently.
-        dropped = {failed}
-        changed = True
-        while changed:
-            changed = False
-            for key, value in list(self.memo.items()):
-                if not isinstance(value, DirectedProc):
-                    continue
-                for clause in value.clauses:
-                    if any(
-                        isinstance(op, DirCall)
-                        and (op.rel, op.direction) in dropped
-                        for op in clause.ops
-                    ):
-                        del self.memo[key]
-                        dropped.add(key)
-                        changed = True
-                        break
-
-    # --- clause scheduling ---
+        self.memo[key] = None
+        clauses = tuple(
+            self._schedule(direction, rel.params, clause) for clause in rel.clauses
+        )
+        self.memo[key] = DirectedProc(rel_name, direction, rel.params, clauses)
 
     def _schedule(
-        self,
-        rel_name: str,
-        direction: str,
-        params: tuple[VarId, ...],
-        clause: FlatClause,
+        self, direction: str, params: tuple[VarId, ...], clause: FlatClause
     ) -> DirectedClause:
         bound = set(moded(params, direction, "i"))
-        remaining: list[tuple[int, BaseOp]] = list(enumerate(clause.ops))
+        remaining: list[BaseOp] = list(clause.ops)
         locals_out = list(clause.locals)
         ops: list[ModedOp] = []
         while remaining:
-            choice = self._pick(remaining, bound)
-            if choice is None:
-                stuck = ", ".join(str(op) for _, op in remaining)
-                raise SchedulingStuck(
-                    f"{rel_name}^{direction}: "
-                    f"no runnable operation among {stuck}"
-                )
-            del remaining[choice.index]
-            ops.extend(choice.mops)
-            locals_out.extend(choice.new_locals)
-            for mop in choice.mops:
+            # Every op has a choice (rank 7 generates whatever is unbound),
+            # and min keeps the first, so source position breaks rank ties.
+            choices = [self._classify(op, bound) for op in remaining]
+            index = min(range(len(choices)), key=lambda i: choices[i][0])
+            _, mops, new_locals = choices[index]
+            del remaining[index]
+            ops.extend(mops)
+            locals_out.extend(new_locals)
+            for mop in mops:
+                if isinstance(mop, DirCall):
+                    self.infer(mop.rel, mop.direction)
                 bound.update(op_binds(mop))
         outs = moded(params, direction, "o")
         ops.extend(GenerateVar(p) for p in outs if p not in bound)
         return DirectedClause(tuple(locals_out), tuple(ops))
 
-    def _pick(
-        self, remaining: list[tuple[int, BaseOp]], bound: set[VarId]
-    ) -> _Choice | None:
-        while True:
-            best: _Choice | None = None
-            for index, (pos, op) in enumerate(remaining):
-                got = self._classify(op, bound)
-                if got is None:
-                    continue
-                rank, mops, new_locals, infer_key = got
-                if best is None or (rank, pos) < (best.rank, best.pos):
-                    best = _Choice(rank, pos, index, mops, new_locals, infer_key)
-            if best is None:
-                return None
-            if best.infer_key is not None:
-                try:
-                    self.infer(*best.infer_key)
-                except SchedulingStuck:
-                    continue
-            return best
-
     def _classify(
         self, op: BaseOp, bound: set[VarId]
-    ) -> tuple[int, tuple[ModedOp, ...], tuple[VarId, ...], tuple[str, str] | None] | None:
+    ) -> tuple[int, tuple[ModedOp, ...], tuple[VarId, ...]]:
+        """(rank, moded ops, new locals) of running op next; lower ranks first."""
         if isinstance(op, FlatCall):
             direction = "".join("i" if a in bound else "o" for a in op.args)
             call = DirCall(op.rel, direction, op.args)
-            state = self.memo.get((op.rel, direction))
-            if state is _FAILED:
-                return None
-            analyzed = state is _IN_PROGRESS or isinstance(state, DirectedProc)
-            infer_key = None if analyzed else (op.rel, direction)
             if "o" not in direction:
-                return 4, (call,), (), infer_key
-            return (5 if analyzed else 6), (call,), (), infer_key
+                return 4, (call,), ()
+            return (5 if (op.rel, direction) in self.memo else 6), (call,), ()
 
         term = op.term
         if isinstance(term, FlatVar):
             v, w = op.var, term.var
             if v in bound and w in bound:
-                return 1, (Guard(v, w),), (), None
+                return 1, (Guard(v, w),), ()
             if v in bound:
-                return 2, (Assign(w, FlatVar(v)),), (), None
+                return 2, (Assign(w, FlatVar(v)),), ()
             if w in bound:
-                return 2, (Assign(v, FlatVar(w)),), (), None
-            return 7, (GenerateVar(v), Assign(w, FlatVar(v))), (), None
+                return 2, (Assign(v, FlatVar(w)),), ()
+            return 7, (GenerateVar(v), Assign(w, FlatVar(v))), ()
 
         v = op.var
         have = [a in bound for a in term.args]
         if v in bound:
             if all(have):
-                return 1, (GuardCtor(v, term.ctor, term.args),), (), None
+                return 1, (GuardCtor(v, term.ctor, term.args),), ()
             if not any(have):
-                return 3, (Match(v, term.ctor, term.args),), (), None
+                return 3, (Match(v, term.ctor, term.args),), ()
             # Mixed: destructure onto fresh locals, then check the bound ones.
             fresh_args: list[VarId] = []
             checks: list[ModedOp] = []
@@ -348,11 +266,11 @@ class _Analyzer:
                 else:
                     fresh_args.append(a)
             mops = (Match(v, term.ctor, tuple(fresh_args)), *checks)
-            return 3, mops, tuple(new_locals), None
+            return 3, mops, tuple(new_locals)
         if all(have):
-            return 2, (Assign(v, term),), (), None
+            return 2, (Assign(v, term),), ()
         gens = tuple(GenerateVar(a) for a, known in zip(term.args, have) if not known)
-        return 7, gens + (Assign(v, term),), (), None
+        return 7, gens + (Assign(v, term),), ()
 
 
 class ModeTable:
@@ -389,11 +307,7 @@ def analyze(
     analyzer = _Analyzer(nprog)
     for rel, direction in requests:
         analyzer.infer(rel, direction)
-    procs = {
-        key: value
-        for key, value in analyzer.memo.items()
-        if isinstance(value, DirectedProc)
-    }
+    procs = dict(analyzer.memo)
     dets = _det_fixpoint(procs, nprog.schema)
     return ModeTable(nprog, procs, dets)
 

@@ -27,13 +27,14 @@ from typing import Any, Callable, Iterator, Sequence
 # Stream pulls are not what needs this: under the default limit of 1000
 # every add_nondet, sort, typecheck and balance bench row runs.  What
 # overflows is recursion per level of a deep term, first on add_det rows:
-# the converter's semidet path (``_proc_first`` plus a call step's
-# ``first``, two frames per level, from addo@iio a=512), ``Node.__eq__`` in
-# a base-case guard (converted addo@iii a=256), and the search engine's
-# recursive ``interp.unify`` (ref addo@iii a=1024).  ``convert._compile_plug``
-# recurses too, one frame per level.  Tests that overflow without it: the
-# two deep-answer CLI tests, and in test_convert the past-the-limit
-# ``addo@iio``, the ``addo@oio`` own-stream and the chain-grounding tests.
+# the converter's semidet path (``convert._proc_first`` plus the ``first``
+# of a ``_compile_step`` call step, two frames per level, from addo@iio
+# a=512), ``Node.__eq__`` in a base-case guard (converted addo@iii a=256),
+# and the search engine's recursive ``interp.unify`` (ref addo@iii a=1024).
+# ``convert._plug_or_none`` and the plugs it builds recurse too, one frame
+# per level.  Tests that overflow without it: the two deep-answer CLI
+# tests, and in test_convert the past-the-limit ``addo@iio``, the
+# ``addo@oio`` own-stream and the chain-grounding tests.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 Stream = Any  # None | tuple[Any, "Stream"] | Callable[[], "Stream"]

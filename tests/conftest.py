@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from kanrel.convert import DirectedEngine
 from kanrel.goals import Call, Conj, Disj, Fresh, Program, Relation, Unify
-from kanrel.modes import ModeTable, SchedulingStuck, analyze
+from kanrel.modes import ModeTable, analyze
 from kanrel.normal import normalize_program
 from kanrel.parser import load_corpus
 from kanrel.schema import (
@@ -49,11 +49,7 @@ def schedulable_corpus_tables() -> tuple[tuple[tuple[str, str, str], ModeTable],
         for rel in nprog.relations:
             for chars in itertools.product("io", repeat=len(rel.params)):
                 d = "".join(chars)
-                try:
-                    table = analyze(nprog, [(rel.name, d)])
-                except SchedulingStuck:
-                    continue
-                out.append(((name, rel.name, d), table))
+                out.append(((name, rel.name, d), analyze(nprog, [(rel.name, d)])))
     return tuple(out)
 
 

@@ -16,9 +16,6 @@ from kanrel.modes import (
     Match,
     ModeError,
     ModeTable,
-    SchedulingStuck,
-    _Analyzer,
-    _FAILED,
     analyze,
     check_direction,
     op_binds,
@@ -374,7 +371,7 @@ def test_unused_out_param_is_generated():
     assert table.det("anyo", "io") is Det.NONDET
 
 
-def test_scheduling_stuck_when_callee_direction_failed():
+def test_subo_io_calls_addo_ooi():
     program = parse_program(
         """
         type Nat = O | S(Nat).
@@ -384,15 +381,7 @@ def test_scheduling_stuck_when_callee_direction_failed():
         rel subo(z: Nat, x: Nat) = fresh y . addo(x, y, z).
         """
     )
-    nprog = normalize_program(program)
-    analyzer = _Analyzer(nprog)
-    analyzer.memo[("addo", "oio")] = _FAILED
-    analyzer.memo[("addo", "ooi")] = _FAILED
-    analyzer.memo[("addo", "ooo")] = _FAILED
-    with pytest.raises(SchedulingStuck):
-        analyzer.infer("subo", "oo")
-    # With callable directions available the same relation schedules fine.
-    table = analyze(nprog, [("subo", "io")])
+    table = analyze(normalize_program(program), [("subo", "io")])
     proc = table.proc("subo", "io")
     assert kinds(proc.clauses[0]) == ["DirCall"]
     assert proc.clauses[0].ops[0].direction == "ooi"
