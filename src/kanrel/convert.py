@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from operator import itemgetter
 
 from .goals import check_args, check_input_count
 from .interp import ground_answers
@@ -243,11 +244,13 @@ class DirectedEngine:
     def _ground_stream(self, answer: tuple[Term, ...]) -> Stream:
         """Ground a raw answer by ``interp.ground_answers``, with this
         engine's builder: each tuple position is compiled once into a plug
-        function, so hole-free subterms are shared, not rebuilt per answer.
+        that indexes the enumeration's tuple of values, so hole-free
+        subterms are shared, not rebuilt per answer.
         """
-        plugs = tuple(_compile_plug(t) for t in answer)
+        index: dict[VarId, int] = {}
+        plugs = tuple(_compile_plug(t, index) for t in answer)
         return ground_answers(
-            answer, self.schema, lambda asg: tuple(p(asg) for p in plugs)
+            answer, self.schema, lambda values: tuple([p(values) for p in plugs])
         )
 
     def raw_stream(self, rel: str, direction: str, ins) -> Stream:
@@ -564,29 +567,45 @@ def _table_key(key: tuple[str, str], values: list[Node]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _compile_plug(term: Term):
-    """term as a function of a hole assignment; hole-free parts are shared."""
-    plug = _plug_or_none(term)
-    return (lambda asg: term) if plug is None else plug
+def _compile_plug(term: Term, index: dict[VarId, int]):
+    """term as a function of the values of a hole assignment; hole-free
+    parts are shared.  See ``_plug_or_none`` for ``index``."""
+    plug = _plug_or_none(term, index)
+    return (lambda values: term) if plug is None else plug
 
 
-def _plug_or_none(term: Term):
+def _plug_or_none(term: Term, index: dict[VarId, int]):
     """The plug of a term that holds a hole; None for a hole-free term.
 
-    A node is hole-free when all its parts are, so each node is visited
-    once and compiling is linear in the size of the term.
+    A plug maps the tuple of values that ``interp.ground_answers`` hands
+    its builder to the filled term.  ``index`` gives each hole its position
+    in that tuple: a hole not yet in it takes the next position.  Terms are
+    walked left to right, so compiling an answer's terms in order numbers
+    the holes in first-occurrence order, the enumeration's own.  A node is
+    hole-free when all its parts are, so each node is visited once and
+    compiling is linear in the size of the term.  The plug of a hole-free
+    part returns that part itself, and a node's plug is specialized to its
+    arity up to 3, so a filled term allocates only its holed nodes.
     """
     if isinstance(term, Hole):
-        var = term.var
-        return lambda asg: asg[var]
-    plugs = [_plug_or_none(a) for a in term.args]
+        return itemgetter(index.setdefault(term.var, len(index)))
+    plugs = [_plug_or_none(a, index) for a in term.args]
     if all(p is None for p in plugs):
         return None
-    parts = tuple(
-        (lambda asg, a=a: a) if p is None else p for a, p in zip(term.args, plugs)
-    )
+    parts = [
+        (lambda values, a=a: a) if p is None else p for a, p in zip(term.args, plugs)
+    ]
     ctor = term.ctor
-    return lambda asg: Node(ctor, tuple(p(asg) for p in parts))
+    if len(parts) == 1:
+        (p0,) = parts
+        return lambda values: Node(ctor, (p0(values),))
+    if len(parts) == 2:
+        p0, p1 = parts
+        return lambda values: Node(ctor, (p0(values), p1(values)))
+    if len(parts) == 3:
+        p0, p1, p2 = parts
+        return lambda values: Node(ctor, (p0(values), p1(values), p2(values)))
+    return lambda values: Node(ctor, tuple([p(values) for p in parts]))
 
 
 # --- textual emission ---

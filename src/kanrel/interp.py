@@ -44,7 +44,7 @@ from .schema import (
     is_ground,
     rebuild,
 )
-from .streams import Stream, bind, from_iterator, mplus_all, stream_iter, unit
+from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, unit
 
 
 @dataclass(frozen=True)
@@ -219,16 +219,24 @@ class RefEval(GoalInterpreter[GoalClosure]):
 def ground_answers(
     answer: tuple[Term, ...],
     schema: TermSchema,
-    build: Callable[[dict[VarId, Node]], tuple[Term, ...]] | None = None,
+    build: Callable[[tuple[Node, ...]], tuple[Term, ...]] | None = None,
 ) -> Stream:
     """Enumerate all ground instances of an answer tuple, fairly.
 
     The one grounding enumeration of both engines.  Holes are filled in
-    first-occurrence order, found once: one bind over the schema
-    generator's candidates per hole, a delay per candidate, so bind
-    dovetails across holes.  ``build`` maps each complete assignment to a
-    ground tuple: by default each term is rebuilt with ``rebuild``; the
-    directed engine passes its compiled plugs.
+    first-occurrence order (``holes`` over the answer's terms, left to
+    right), found once: one bind over the hole type's candidates per hole,
+    a delay per candidate, so bind dovetails across holes; the last hole
+    maps its candidates with ``smap``, which has ``bind``'s shape for a
+    continuation that never suspends.  Candidates come from
+    ``schema.candidates``: one tuple per finite type, shared by every
+    answer, and a new ``generate`` stream per use for an infinite type.
+
+    ``build`` maps the values of one complete assignment, one per hole in
+    that order, to a ground tuple.  Nothing is copied per filled hole: each
+    assignment is one tuple, extended by one value per hole.  By default
+    each term is rebuilt with ``rebuild``, through one dict per answer; the
+    directed engine passes compiled plugs that index the tuple.
     """
     order: dict[VarId, None] = {}
     for term in answer:
@@ -239,21 +247,19 @@ def ground_answers(
         return unit(answer)
     if build is None:
 
-        def build(assignment: dict[VarId, Node]) -> tuple[Term, ...]:
-            return tuple(rebuild(t, assignment) for t in answer)
+        def build(values: tuple[Node, ...]) -> tuple[Term, ...]:
+            filling = dict(zip(residual, values))
+            return tuple(rebuild(t, filling) for t in answer)
 
     last = len(residual) - 1
 
-    def at(i: int, assignment: dict[VarId, Node]) -> Stream:
-        var = residual[i]
+    def at(i: int, values: tuple[Node, ...]) -> Stream:
+        source = from_iterator(iter(schema.candidates(residual[i].type)))
+        if i == last:
+            return smap(source, lambda value: build((*values, value)))
+        return bind(source, lambda value: at(i + 1, (*values, value)))
 
-        def fill(value: Node) -> Stream:
-            filled = {**assignment, var: value}
-            return unit(build(filled)) if i == last else at(i + 1, filled)
-
-        return bind(from_iterator(schema.generate(var.type)), fill)
-
-    return at(0, {})
+    return at(0, ())
 
 
 def query_args(relation: Relation, direction: str, ins) -> tuple[Term, ...]:

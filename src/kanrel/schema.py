@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class SchemaError(Exception):
@@ -154,6 +154,7 @@ class TermSchema:
         self._max_size: dict[str, int] = {}
         self._counts: dict[str, int] = {}
         self._by_size: dict[tuple[str, int], tuple[Node, ...]] = {}
+        self._finite_values: dict[str, tuple[Node, ...]] = {}
 
     def _check_inhabited(self) -> None:
         # Least fixpoint: a type is inhabited once some ctor has all
@@ -296,6 +297,22 @@ class TermSchema:
             yield from self.values_of_size(type_name, size)
             size += 1
 
+    def candidates(self, type_name: str) -> Iterable[Node]:
+        """The values ``generate`` yields, in its order, for one more pass.
+
+        A finite type gives one tuple, built on first use and kept for the
+        schema's life; an infinite type gives a new ``generate`` stream,
+        never materialized.
+        """
+        cached = self._finite_values.get(type_name)
+        if cached is not None:
+            return cached
+        if not self.is_finite(type_name):
+            return self.generate(type_name)
+        values = tuple(self.generate(type_name))
+        self._finite_values[type_name] = values
+        return values
+
 
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     """Tuples of k positive ints summing to total, ascending lexicographic."""
@@ -347,7 +364,10 @@ def term_size(term: Term) -> int:
 
 
 def holes(term: Term) -> tuple[VarId, ...]:
-    """Variables of a term in first-occurrence (leftmost, outermost) order."""
+    """Variables of a term in first-occurrence (leftmost, outermost) order.
+
+    A node that ``is_ground`` has marked holds none and is not entered.
+    """
     seen: dict[VarId, None] = {}
     stack = [term]
     while stack:
@@ -359,7 +379,7 @@ def holes(term: Term) -> tuple[VarId, ...]:
                 seen.setdefault(t.var)
                 break
             args = t.args
-            if not args:
+            if not args or t._ground:
                 break
             if len(args) > 1:
                 stack += args[:0:-1]
@@ -379,47 +399,74 @@ def rebuild(term: Term, filling: Mapping[VarId, Term]) -> Term:
 def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
     """Resolve a term through a substitution as far as bindings allow.
 
-    Raises CyclicBindingError when a variable is reached again while its own
-    binding is still being resolved.  Unbound holes remain in the result.
-    Iterative, so the depth of the result is not bounded by the stack.
+    Unbound holes remain in the result.  Only what the bindings change is
+    built anew.  A node that ``is_ground`` has marked is returned as is,
+    without a walk, so a hole-free input, or a binding to the rest of one,
+    costs O(1) however large it is.  Any other node whose resolved parts
+    are the very objects it holds is returned as is after its walk.
+
+    Raises CyclicBindingError when the substitution resolves a variable
+    through itself.  The walk counts the bindings followed on the path from
+    the root to the current position and fails once that count exceeds
+    ``len(subst)``: such a path follows some binding twice (pigeonhole),
+    and a cyclic binding reached once is followed without end, so every
+    cycle the term reaches is reported, at O(1) cost per binding and with
+    no hashing.  Iterative, so the depth of the result is not bounded by
+    the stack; unary spines (``S(S(...))``) push no frame per level.
     """
     lookup = subst.get
-    # One shared set, stack-disciplined: a variable is active exactly while
-    # the subtree of its own binding resolves, so membership here means
-    # "reached again along the current path".
-    active: set[VarId] = set()
-    # Frames of nodes still being rebuilt: [node, resolved args, variables
-    # made active on the way to the node].
+    limit = len(subst)
+    # Frames of nodes of two or more arguments still being rebuilt: [node,
+    # resolved args, bindings followed on the path to the node, length of
+    # ``spine`` at the node].
     stack: list[list] = []
-    t = term
+    # Unary nodes on the path, outermost first; the innermost frame owns
+    # those from its own length of ``spine`` (``base``) on.
+    spine: list[Node] = []
+    t, followed, base = term, 0, 0
     while True:
-        added: list[VarId] = []
-        while isinstance(t, Hole):
-            var = t.var
-            if var in active:
-                raise CyclicBindingError(f"{var!r} resolves through itself")
-            bound = lookup(var)
-            if bound is None:
-                break
-            active.add(var)
-            added.append(var)
-            t = bound
-        if isinstance(t, Node) and t.args:
-            stack.append([t, [], added])
-        else:
-            out = t
-            active.difference_update(added)
-            while True:
-                if not stack:
-                    return out
-                frame = stack[-1]
-                done = frame[1]
-                done.append(out)
-                node = frame[0]
-                if len(done) < len(node.args):
+        while True:
+            if isinstance(t, Hole):
+                bound = lookup(t.var)
+                if bound is None:
                     break
-                stack.pop()
-                out = Node(node.ctor, tuple(done))
-                active.difference_update(frame[2])
-        frame = stack[-1]
-        t = frame[0].args[len(frame[1])]
+                followed += 1
+                if followed > limit:
+                    raise CyclicBindingError(f"{t.var!r} resolves through itself")
+                t = bound
+                continue
+            args = t.args
+            if not args or t._ground:
+                break
+            if len(args) == 1:
+                spine.append(t)
+            else:
+                base = len(spine)
+                stack.append([t, [], followed, base])
+            t = args[0]
+        out = t
+        while True:
+            if len(spine) > base:
+                # The unary nodes above ``out``, rebuilt innermost first.
+                for node in reversed(spine[base:]):
+                    out = node if out is node.args[0] else Node(node.ctor, (out,))
+                del spine[base:]
+            if not stack:
+                return out
+            frame = stack[-1]
+            done = frame[1]
+            done.append(out)
+            node = frame[0]
+            args = node.args
+            if len(done) < len(args):
+                followed = frame[2]
+                t = args[len(done)]
+                break
+            stack.pop()
+            base = stack[-1][3] if stack else 0
+            for a, b in zip(done, args):
+                if a is not b:
+                    out = Node(node.ctor, tuple(done))
+                    break
+            else:
+                out = node

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addo_program, deref_oracle, loop_program, nat, unnat
+from conftest import (
+    addo_program,
+    deref_oracle,
+    directed_engine,
+    loop_program,
+    nat,
+    unnat,
+)
 from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
 import kanrel.interp as interp_module
 from kanrel.interp import (
@@ -179,6 +186,47 @@ class TestGrounding:
             return calls
 
         assert holes_calls(64) == holes_calls(128)
+
+
+# The first 40 groundings of If(BLit(b1), Lit(n), Plus(Lit(n), BLit(b2)))
+# in the typecheck schema, as (b1, n, b2): a finite hole, an infinite one,
+# that one again, and a second finite one.  Recorded from the dict-copying
+# enumeration this one replaced, so a drift in the enumeration itself shows.
+PINNED_GROUNDING = [
+    ("T", 0, "T"), ("F", 0, "T"), ("T", 0, "F"), ("T", 1, "T"), ("F", 0, "F"),
+    ("F", 1, "T"), ("T", 1, "F"), ("T", 2, "T"), ("F", 1, "F"), ("F", 2, "T"),
+    ("T", 2, "F"), ("T", 3, "T"), ("F", 2, "F"), ("F", 3, "T"), ("T", 3, "F"),
+    ("T", 4, "T"), ("F", 3, "F"), ("F", 4, "T"), ("T", 4, "F"), ("T", 5, "T"),
+    ("F", 4, "F"), ("F", 5, "T"), ("T", 5, "F"), ("T", 6, "T"), ("F", 5, "F"),
+    ("F", 6, "T"), ("T", 6, "F"), ("T", 7, "T"), ("F", 6, "F"), ("F", 7, "T"),
+    ("T", 7, "F"), ("T", 8, "T"), ("F", 7, "F"), ("F", 8, "T"), ("T", 8, "F"),
+    ("T", 9, "T"), ("F", 8, "F"), ("F", 9, "T"), ("T", 9, "F"), ("T", 10, "T"),
+]
+
+
+def test_grounding_order_is_pinned():
+    engine = directed_engine("typecheck", (("typo", "oi"),))
+    b1, n, b2 = (Hole(VarId(i, t)) for i, t in ((1, "Boolean"), (2, "Nat"), (3, "Boolean")))
+    answer = (
+        Node("If", (
+            Node("BLit", (b1,)),
+            Node("Lit", (n,)),
+            Node("Plus", (Node("Lit", (n,)), Node("BLit", (b2,)))),
+        )),
+    )
+    booleans = {"T": Node("True"), "F": Node("False")}
+    want = [
+        (
+            Node("If", (
+                Node("BLit", (booleans[c],)),
+                Node("Lit", (nat(k),)),
+                Node("Plus", (Node("Lit", (nat(k),)), Node("BLit", (booleans[e],)))),
+            )),
+        )
+        for c, k, e in PINNED_GROUNDING
+    ]
+    assert take(ground_answers(answer, engine.schema), 40) == want
+    assert take(engine._ground_stream(answer), 40) == want
 
 
 class TestQueryValidation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     NAT_DECLS,
     TREE_DECLS,
     brute_values,
+    corpus_program,
     nat,
     natlist,
     schema_from,
@@ -309,3 +311,115 @@ class TestDeepTerms:
             assert node.ctor == "S"
             depth, node = depth + 1, node.args[0]
         assert (depth, node) == (self.DEPTH + 1, Node("O"))
+
+
+class TestCandidates:
+    """schema.candidates: generate's values, a cached tuple for finite types."""
+
+    @pytest.mark.parametrize("corpus", ["nat", "sort", "balance", "typecheck"])
+    def test_candidates_follow_generate(self, corpus):
+        schema = corpus_program(corpus).schema
+        for type_name in schema.types_by_name:
+            got = schema.candidates(type_name)
+            if schema.is_finite(type_name):
+                assert isinstance(got, tuple)
+                assert got == tuple(schema.generate(type_name))
+                assert schema.candidates(type_name) is got
+            else:
+                # A stream, new per use, never a materialized tuple.
+                assert not isinstance(got, (tuple, list))
+                assert schema.candidates(type_name) is not got
+                assert list(islice(got, 50)) == list(islice(schema.generate(type_name), 50))
+
+
+DIFF_VARS = [VarId(i, "Nat", f"d{i}") for i in range(6)]
+
+
+def random_term(rng: random.Random, depth: int):
+    """Terms over O, S and a binary Pair, with holes of DIFF_VARS at some
+    leaves (deref ignores types)."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Hole(rng.choice(DIFF_VARS)) if rng.random() < 0.6 else nat(rng.randrange(3))
+    if r < 0.65:
+        return Node("S", (random_term(rng, depth - 1),))
+    return Node("Pair", (random_term(rng, depth - 1), random_term(rng, depth - 1)))
+
+
+def all_subterms(term) -> list:
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Node):
+            stack.extend(t.args)
+    return out
+
+
+def deref_reference(term, subst, active: frozenset = frozenset()):
+    """Plain recursive resolution (test reference): a variable reached again
+    while its own binding resolves is a cycle."""
+    if isinstance(term, Hole):
+        if term.var in active:
+            raise CyclicBindingError(repr(term.var))
+        bound = subst.get(term.var)
+        if bound is None:
+            return term
+        return deref_reference(bound, subst, active | {term.var})
+    return Node(term.ctor, tuple(deref_reference(a, subst, active) for a in term.args))
+
+
+def outcome(fn, term, subst):
+    try:
+        return ("value", fn(term, subst))
+    except CyclicBindingError:
+        return ("cycle", None)
+
+
+def test_deref_differential_against_reference():
+    rng = random.Random(20261020)
+    cycles = values = 0
+    for _ in range(4000):
+        subst = {v: random_term(rng, 3) for v in DIFF_VARS if rng.random() < 0.6}
+        term = random_term(rng, 4)
+        # Mark some hole-free subterms first, as earlier occurs checks would.
+        pool = all_subterms(term) + [t for b in subst.values() for t in all_subterms(b)]
+        for t in rng.sample(pool, min(3, len(pool))):
+            is_ground(t)
+        want = outcome(deref_reference, term, subst)
+        assert outcome(deref, term, subst) == want, (term, subst)
+        cycles += want[0] == "cycle"
+        values += want[0] == "value"
+    # Both outcomes are well represented.
+    assert cycles > 400 and values > 400
+
+
+class TestDerefSharing:
+    x, y = VarId(0, "Nat", "x"), VarId(1, "Nat", "y")
+
+    def test_marked_ground_subterm_comes_back_as_is(self):
+        g = natlist([3, 1, 4])
+        assert is_ground(g)
+        assert deref(g, {}) is g
+        assert deref(Hole(self.x), {self.x: g}) is g
+        out = deref(Node("Pair", (Hole(self.x), g)), {self.x: Node("O")})
+        assert out.args[1] is g
+
+    def test_chain_through_every_binding_is_not_a_cycle(self):
+        # The count of bindings followed reaches len(subst) and stops there.
+        vs = [VarId(i, "Nat") for i in range(8)]
+        subst = {vs[i]: (Hole(vs[i + 1]) if i % 2 else Node("S", (Hole(vs[i + 1]),)))
+                 for i in range(7)}
+        subst[vs[7]] = Node("O")
+        assert deref(Hole(vs[0]), subst) == nat(4)
+
+    def test_fifty_thousand_unary_bindings(self):
+        depth = 50_000
+        vs = [VarId(i, "Nat") for i in range(depth + 1)]
+        subst = {vs[i]: Node("S", (Hole(vs[i + 1]),)) for i in range(depth)}
+        subst[vs[depth]] = Node("O")
+        node, k = deref(Hole(vs[0]), subst), 0
+        # Walked, not compared: dataclass == recurses.
+        while node.ctor == "S":
+            node, k = node.args[0], k + 1
+        assert (k, node) == (depth, Node("O"))
