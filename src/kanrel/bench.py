@@ -65,6 +65,7 @@ class RowResult:
     param: str
     ref_ns: int
     converted_ns: int
+    spread_ns: dict[str, tuple[int, int]]  # engine -> (min, max) over the reps
     reps: int
     answers: int
     answers_hash: str
@@ -77,6 +78,7 @@ class BenchReport:
     def records(self) -> list[dict]:
         """One record per row and engine, for machine-readable output."""
         python = platform.python_version()
+        host = platform.node()
         return [
             {
                 "suite": r.suite,
@@ -84,10 +86,13 @@ class BenchReport:
                 "engine": engine,
                 "param": r.param,
                 "median_ns": ns,
+                "min_ns": r.spread_ns[engine][0],
+                "max_ns": r.spread_ns[engine][1],
                 "reps": r.reps,
                 "answers": r.answers,
                 "hash": r.answers_hash,
                 "python": python,
+                "host": host,
             }
             for r in self.rows
             for engine, ns in (("ref", r.ref_ns), ("converted", r.converted_ns))
@@ -247,6 +252,7 @@ def run_rows(rows: list[RowSpec], reps: int = REPS) -> BenchReport:
                 f" {hashes['converted'][0][:12]})"
             )
         out: dict[str, int] = {}
+        spread: dict[str, tuple[int, int]] = {}
         for engine, make in makers:
             samples = []
             for _ in range(reps):
@@ -258,6 +264,7 @@ def run_rows(rows: list[RowSpec], reps: int = REPS) -> BenchReport:
                     )
                 samples.append(ns)
             out[engine] = int(statistics.median(samples))
+            spread[engine] = (min(samples), max(samples))
         results.append(
             RowResult(
                 suite=spec.suite,
@@ -265,6 +272,7 @@ def run_rows(rows: list[RowSpec], reps: int = REPS) -> BenchReport:
                 param=spec.param,
                 ref_ns=out["ref"],
                 converted_ns=out["converted"],
+                spread_ns=spread,
                 reps=reps,
                 answers=hashes["ref"][1],
                 answers_hash=hashes["ref"][0],

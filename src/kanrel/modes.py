@@ -212,10 +212,12 @@ class _Analyzer:
             # and min keeps the first, so source position breaks rank ties.
             choices = [self._classify(op, bound) for op in remaining]
             index = min(range(len(choices)), key=lambda i: choices[i][0])
-            _, mops, new_locals = choices[index]
+            mops = choices[index][1]
+            if mops is None:
+                mops, new_locals = self._mixed_match(remaining[index], bound)
+                locals_out.extend(new_locals)
             del remaining[index]
             ops.extend(mops)
-            locals_out.extend(new_locals)
             for mop in mops:
                 if isinstance(mop, DirCall):
                     self.infer(mop.rel, mop.direction)
@@ -226,51 +228,53 @@ class _Analyzer:
 
     def _classify(
         self, op: BaseOp, bound: set[VarId]
-    ) -> tuple[int, tuple[ModedOp, ...], tuple[VarId, ...]]:
-        """(rank, moded ops, new locals) of running op next; lower ranks first."""
+    ) -> tuple[int, tuple[ModedOp, ...] | None]:
+        """(rank, moded ops) of running op next; lower ranks first.
+
+        The ops of a mixed match are None: they draw fresh locals, so
+        ``_mixed_match`` builds them only for the op that is chosen.
+        """
         if isinstance(op, FlatCall):
             direction = "".join("i" if a in bound else "o" for a in op.args)
             call = DirCall(op.rel, direction, op.args)
             if "o" not in direction:
-                return 4, (call,), ()
-            return (5 if (op.rel, direction) in self.memo else 6), (call,), ()
+                return 4, (call,)
+            return (5 if (op.rel, direction) in self.memo else 6), (call,)
 
         term = op.term
         if isinstance(term, FlatVar):
             v, w = op.var, term.var
             if v in bound and w in bound:
-                return 1, (Guard(v, w),), ()
+                return 1, (Guard(v, w),)
             if v in bound:
-                return 2, (Assign(w, FlatVar(v)),), ()
+                return 2, (Assign(w, FlatVar(v)),)
             if w in bound:
-                return 2, (Assign(v, FlatVar(w)),), ()
-            return 7, (GenerateVar(v), Assign(w, FlatVar(v))), ()
+                return 2, (Assign(v, FlatVar(w)),)
+            return 7, (GenerateVar(v), Assign(w, FlatVar(v)))
 
         v = op.var
         have = [a in bound for a in term.args]
         if v in bound:
             if all(have):
-                return 1, (GuardCtor(v, term.ctor, term.args),), ()
+                return 1, (GuardCtor(v, term.ctor, term.args),)
             if not any(have):
-                return 3, (Match(v, term.ctor, term.args),), ()
-            # Mixed: destructure onto fresh locals, then check the bound ones.
-            fresh_args: list[VarId] = []
-            checks: list[ModedOp] = []
-            new_locals: list[VarId] = []
-            for a, known in zip(term.args, have):
-                if known:
-                    f = self.supply.fresh(a.type)
-                    fresh_args.append(f)
-                    new_locals.append(f)
-                    checks.append(Guard(f, a))
-                else:
-                    fresh_args.append(a)
-            mops = (Match(v, term.ctor, tuple(fresh_args)), *checks)
-            return 3, mops, tuple(new_locals)
+                return 3, (Match(v, term.ctor, term.args),)
+            return 3, None
         if all(have):
-            return 2, (Assign(v, term),), ()
+            return 2, (Assign(v, term),)
         gens = tuple(GenerateVar(a) for a, known in zip(term.args, have) if not known)
-        return 7, gens + (Assign(v, term),), ()
+        return 7, gens + (Assign(v, term),)
+
+    def _mixed_match(
+        self, op: BaseOp, bound: set[VarId]
+    ) -> tuple[tuple[ModedOp, ...], list[VarId]]:
+        """(moded ops, new locals) of a mixed match: destructure onto fresh
+        locals, then check the bound arguments against them."""
+        term = op.term
+        args = [self.supply.fresh(a.type) if a in bound else a for a in term.args]
+        checks = [Guard(f, a) for f, a in zip(args, term.args) if f is not a]
+        mops = (Match(op.var, term.ctor, tuple(args)), *checks)
+        return mops, [g.var for g in checks]
 
 
 class ModeTable:

@@ -14,10 +14,15 @@ annotation: elaboration infers their types from constructor slots, call
 signatures, and variable-variable unifications, and rejects relations that
 leave a variable's type undetermined.
 
-Elaboration is the one well-formedness check of a program: it rejects
-unknown names, arity and type errors, unbound and shadowing variables, and
-parameters of undeclared type.  Later stages take the ``Program`` it
-returns as well-formed.
+The parser resolves names as it reads them, since a relation's parameters
+and each ``fresh`` name are declared before their uses: it rejects unbound
+and shadowing variables and repeated parameters, and builds the final
+``Goal`` tree over untyped placeholder variables.  Elaboration then takes
+one relation at a time: it rejects unknown names, arity and type errors and
+parameters of undeclared type, infers every variable's type, draws each
+variable's id once, in declaration order, and maps the goal onto the typed
+variables.  Together they are the one well-formedness check of a program;
+later stages take the ``Program`` they return as well-formed.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, TypeVar
 
 from .goals import (
     ArityMismatch,
@@ -48,7 +54,9 @@ from .schema import (
     Term,
     TermSchema,
     TypeDecl,
+    VarId,
     VarSupply,
+    deref,
 )
 
 
@@ -61,6 +69,12 @@ class UnresolvedType(ParseError):
 
 
 KEYWORDS = frozenset({"type", "rel", "fresh"})
+
+# The type of a placeholder variable.  No type name is empty, so no
+# placeholder equals a typed variable.
+_UNTYPED = ""
+
+T = TypeVar("T")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -106,65 +120,15 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-# Surface AST: names only; elaboration resolves scoping and types.
-
-
-@dataclass(frozen=True)
-class SVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class SCtor:
-    name: str
-    args: tuple[STerm, ...]
-
-
-STerm = SVar | SCtor
-
-
-@dataclass(frozen=True)
-class SUnify:
-    lhs: STerm
-    rhs: STerm
-
-
-@dataclass(frozen=True)
-class SCall:
-    rel: str
-    args: tuple[STerm, ...]
-
-
-@dataclass(frozen=True)
-class SConj:
-    parts: tuple[SGoal, ...]
-
-
-@dataclass(frozen=True)
-class SDisj:
-    parts: tuple[SGoal, ...]
-
-
-@dataclass(frozen=True)
-class SFresh:
-    names: tuple[str, ...]
-    body: SGoal
-
-
-SGoal = SUnify | SCall | SConj | SDisj | SFresh
-
-
-@dataclass(frozen=True)
-class SRel:
-    name: str
-    params: tuple[tuple[str, str], ...]  # (name, type)
-    body: SGoal
-
-
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
+        # The relation being read: its name, and each name in scope as the
+        # hole of its placeholder variable.
+        self.rel = ""
+        self.scope: dict[str, Hole] = {}
+        self.placeholders = VarSupply()
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -201,11 +165,40 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == text
 
+    def separated(self, sym: str, read: Callable[[], T]) -> list[T]:
+        """One or more items, each read by ``read``, separated by ``sym``."""
+        items = [read()]
+        while self.at_sym(sym):
+            self.advance()
+            items.append(read())
+        return items
+
+    # --- scope ---
+
+    def declare(self, what: str, clash: str) -> VarId:
+        """Read a variable name and bring it into scope as a placeholder,
+        numbered in declaration order; ``clash`` starts the error raised if
+        the name is in scope already."""
+        name = self.expect_ident(what, upper=False).text
+        if name in self.scope:
+            raise DuplicateName(f"{clash} {name}")
+        var = self.placeholders.fresh(_UNTYPED, name)
+        self.scope[name] = Hole(var)
+        return var
+
+    def resolve(self, name: str) -> Hole:
+        hole = self.scope.get(name)
+        if hole is None:
+            raise UnboundVariable(f"in {self.rel}: variable {name} is not in scope")
+        return hole
+
     # --- declarations ---
 
-    def parse_program_decls(self) -> tuple[list[TypeDecl], list[SRel]]:
+    def parse_program_decls(
+        self,
+    ) -> tuple[list[TypeDecl], list[tuple[Relation, tuple[str, ...]]]]:
         types: list[TypeDecl] = []
-        rels: list[SRel] = []
+        rels: list[tuple[Relation, tuple[str, ...]]] = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "ident" and tok.text == "type":
@@ -222,10 +215,7 @@ class _Parser:
         self.advance()  # 'type'
         name = self.expect_ident("type name", upper=True).text
         self.expect_sym("=")
-        ctors = [self.parse_ctor_decl()]
-        while self.at_sym("|"):
-            self.advance()
-            ctors.append(self.parse_ctor_decl())
+        ctors = self.separated("|", self.parse_ctor_decl)
         self.expect_sym(".")
         return TypeDecl(name, tuple(ctors))
 
@@ -234,60 +224,52 @@ class _Parser:
         args: list[str] = []
         if self.at_sym("("):
             self.advance()
-            args.append(self.expect_ident("type name", upper=True).text)
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.expect_ident("type name", upper=True).text)
+            args = self.separated(
+                ",", lambda: self.expect_ident("type name", upper=True).text
+            )
             self.expect_sym(")")
         return CtorDecl(name, tuple(args))
 
-    def parse_rel_decl(self) -> SRel:
+    def parse_rel_decl(self) -> tuple[Relation, tuple[str, ...]]:
+        """A relation over placeholder variables, and its parameter types."""
         self.advance()  # 'rel'
-        name = self.expect_ident("relation name", upper=False).text
+        self.rel = self.expect_ident("relation name", upper=False).text
+        self.scope = {}
         self.expect_sym("(")
-        params = [self.parse_param()]
-        while self.at_sym(","):
-            self.advance()
-            params.append(self.parse_param())
+        params, types = zip(*self.separated(",", self.parse_param))
         self.expect_sym(")")
         self.expect_sym("=")
         body = self.parse_goal()
         self.expect_sym(".")
-        return SRel(name, tuple(params), body)
+        return Relation(self.rel, params, body), types
 
-    def parse_param(self) -> tuple[str, str]:
-        name = self.expect_ident("parameter name", upper=False).text
+    def parse_param(self) -> tuple[VarId, str]:
+        var = self.declare("parameter name", f"relation {self.rel} repeats parameter")
         self.expect_sym(":")
-        type_name = self.expect_ident("type name", upper=True).text
-        return name, type_name
+        return var, self.expect_ident("type name", upper=True).text
 
     # --- goals ---
 
-    def parse_goal(self) -> SGoal:
-        parts = [self.parse_conj()]
-        while self.at_sym("|"):
-            self.advance()
-            parts.append(self.parse_conj())
-        return parts[0] if len(parts) == 1 else SDisj(tuple(parts))
+    def parse_goal(self) -> Goal:
+        parts = self.separated("|", self.parse_conj)
+        return parts[0] if len(parts) == 1 else Disj(tuple(parts))
 
-    def parse_conj(self) -> SGoal:
-        parts = [self.parse_atom()]
-        while self.at_sym(","):
-            self.advance()
-            parts.append(self.parse_atom())
-        return parts[0] if len(parts) == 1 else SConj(tuple(parts))
+    def parse_conj(self) -> Goal:
+        parts = self.separated(",", self.parse_atom)
+        return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
-    def parse_atom(self) -> SGoal:
+    def parse_atom(self) -> Goal:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "fresh":
             self.advance()
-            names = [self.expect_ident("variable name", upper=False).text]
-            while self.at_sym(","):
-                self.advance()
-                names.append(self.expect_ident("variable name", upper=False).text)
+            outer = self.scope
+            self.scope = dict(outer)
+            shadows = f"in {self.rel}: fresh shadows"
+            names = self.separated(",", lambda: self.declare("variable name", shadows))
             self.expect_sym(".")
             body = self.parse_atom()
-            return SFresh(tuple(names), body)
+            self.scope = outer
+            return Fresh(tuple(names), body)
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
             inner = self.parse_goal()
@@ -301,21 +283,17 @@ class _Parser:
         ):
             rel = self.advance().text
             self.advance()  # '('
-            args = [self.parse_term()]
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.parse_term())
+            args = self.separated(",", lambda: self.parse_term(self.resolve))
             self.expect_sym(")")
-            return SCall(rel, tuple(args))
-        lhs = self.parse_term()
+            return Call(rel, tuple(args))
+        lhs = self.parse_term(self.resolve)
         eq = self.advance()
         if eq.kind != "eqeq":
             raise ParseError(f"expected '==', found {eq.text!r} at {eq.at()}")
-        rhs = self.parse_term()
-        return SUnify(lhs, rhs)
+        return Unify(lhs, self.parse_term(self.resolve))
 
-    def parse_term(self, var=SVar, ctor=SCtor):
-        """One term, built by ``var(name)`` and ``ctor(name, args)``.
+    def parse_term(self, var):
+        """One term, of ``Node``s and ``var(name)`` for each variable.
 
         Iterative, so a term's depth is not bounded by the stack; tokens are
         read and errors raised as by recursive descent.
@@ -334,7 +312,7 @@ class _Parser:
                 open_ctors.append((tok.text, []))
                 continue
             else:
-                term = ctor(tok.text, ())
+                term = Node(tok.text)
             # term is complete: add it to the innermost open constructor,
             # and close each constructor whose last argument it completes.
             while open_ctors:
@@ -345,7 +323,7 @@ class _Parser:
                     break
                 self.expect_sym(")")
                 open_ctors.pop()
-                term = ctor(name, tuple(args))
+                term = Node(name, tuple(args))
             else:
                 return term
 
@@ -395,71 +373,52 @@ class _TypeSolver:
         return self.tag.get(self.find(uid))
 
 
-@dataclass(frozen=True)
-class _Binder:
-    uid: int
-    name: str
-
-
 class _Elaborator:
-    """Resolves names to scoped variables and infers fresh-variable types."""
+    """Types one relation read over placeholders, and rebuilds its goal over
+    variables drawn from the program's supply."""
 
-    def __init__(
-        self,
-        schema: TermSchema,
-        signatures: dict[str, tuple[str, ...]],
-        supply: VarSupply,
-    ) -> None:
+    def __init__(self, schema: TermSchema, signatures: dict[str, tuple[str, ...]]) -> None:
         self.schema = schema
         self.signatures = signatures
-        self.supply = supply
+        self.where = ""
         self.solver = _TypeSolver()
-        self.next_uid = 0
-        self.binders: list[_Binder] = []
+        self.declared: list[VarId] = []
 
-    def new_binder(self, name: str) -> _Binder:
-        b = _Binder(self.next_uid, name)
-        self.next_uid += 1
-        self.solver.add(b.uid)
-        self.binders.append(b)
-        return b
+    def declare(self, var: VarId) -> None:
+        self.solver.add(var.id)
+        self.declared.append(var)
 
-    def elaborate(self, srel: SRel) -> Relation:
-        scope: dict[str, _Binder] = {}
-        for pname, ptype in srel.params:
-            if pname in scope:
-                raise DuplicateName(f"relation {srel.name} repeats parameter {pname}")
+    def elaborate(self, rel: Relation, supply: VarSupply) -> Relation:
+        self.where = rel.name
+        for p, ptype in zip(rel.params, self.signatures[rel.name]):
             if ptype not in self.schema.types_by_name:
                 raise TypeMismatch(
-                    f"parameter {pname} of {srel.name} has undeclared type {ptype}"
+                    f"parameter {p.name} of {rel.name} has undeclared type {ptype}"
                 )
-            b = self.new_binder(pname)
-            self.solver.set_type(b.uid, ptype, f"parameter {pname} of {srel.name}")
-            scope[pname] = b
-        skeleton = self.walk_goal(srel.body, scope, srel.name)
-        ids = {}
-        for b in self.binders:
-            solved = self.solver.solved(b.uid)
+            self.declare(p)
+            self.solver.set_type(p.id, ptype, f"parameter {p.name} of {rel.name}")
+        self.check_goal(rel.body)
+        typed: dict[VarId, Hole] = {}
+        for v in self.declared:
+            solved = self.solver.solved(v.id)
             if solved is None:
                 raise UnresolvedType(
-                    f"in {srel.name}: cannot infer the type of variable {b.name}"
+                    f"in {rel.name}: cannot infer the type of variable {v.name}"
                 )
-            ids[b.uid] = self.supply.fresh(solved, b.name)
-        body = _instantiate(skeleton, ids)
-        params = tuple(ids[scope_entry.uid] for scope_entry in (scope[p] for p, _ in srel.params))
-        return Relation(srel.name, params, body)
+            typed[v] = Hole(supply.fresh(solved, v.name))
+        params = tuple(typed[p].var for p in rel.params)
+        return Relation(rel.name, params, _retarget(rel.body, typed))
 
-    def walk_goal(self, goal: SGoal, scope: dict[str, _Binder], where: str):
-        if isinstance(goal, SUnify):
-            lhs, lt = self.walk_term(goal.lhs, scope, where)
-            rhs, rt = self.walk_term(goal.rhs, scope, where)
-            self.constrain_equal(lt, rt, f"in {where}: unification")
-            return ("unify", lhs, rhs)
-        if isinstance(goal, SConj):
-            return ("conj", tuple(self.walk_goal(g, scope, where) for g in goal.parts))
-        if isinstance(goal, SDisj):
-            return ("disj", tuple(self.walk_goal(g, scope, where) for g in goal.parts))
-        if isinstance(goal, SCall):
+    def check_goal(self, goal: Goal) -> None:
+        where = self.where
+        if isinstance(goal, Unify):
+            lhs = self.term_type(goal.lhs)
+            rhs = self.term_type(goal.rhs)
+            self.constrain_equal(lhs, rhs, f"in {where}: unification")
+        elif isinstance(goal, (Conj, Disj)):
+            for g in goal.goals:
+                self.check_goal(g)
+        elif isinstance(goal, Call):
             sig = self.signatures.get(goal.rel)
             if sig is None:
                 raise UnknownRelation(f"in {where}: no relation named {goal.rel}")
@@ -468,91 +427,87 @@ class _Elaborator:
                     f"in {where}: {goal.rel} takes {len(sig)} arguments,"
                     f" got {len(goal.args)}"
                 )
-            args = []
             for arg, want in zip(goal.args, sig):
-                walked, got = self.walk_term(arg, scope, where)
-                self.constrain_equal(got, ("type", want), f"in {where}: call to {goal.rel}")
-                args.append(walked)
-            return ("call", goal.rel, tuple(args))
-        # fresh
-        inner = dict(scope)
-        binders = []
-        for name in goal.names:
-            if name in inner:
-                raise DuplicateName(f"in {where}: fresh shadows {name}")
-            b = self.new_binder(name)
-            inner[name] = b
-            binders.append(b)
-        return ("fresh", tuple(binders), self.walk_goal(goal.body, inner, where))
-
-    def walk_term(self, term: STerm, scope: dict[str, _Binder], where: str):
-        if isinstance(term, SVar):
-            binder = scope.get(term.name)
-            if binder is None:
-                raise UnboundVariable(
-                    f"in {where}: variable {term.name} is not in scope"
-                )
-            return ("var", binder), ("uid", binder.uid)
-        decl, owner = self.schema.ctor(term.name)
-        if len(term.args) != len(decl.arg_types):
-            raise ArityMismatch(
-                f"in {where}: constructor {term.name} takes"
-                f" {len(decl.arg_types)} arguments, got {len(term.args)}"
-            )
-        args = []
-        for arg, slot in zip(term.args, decl.arg_types):
-            walked, got = self.walk_term(arg, scope, where)
-            self.constrain_equal(got, ("type", slot), f"in {where}: {term.name}(...)")
-            args.append(walked)
-        return ("ctor", term.name, tuple(args)), ("type", owner)
-
-    def constrain_equal(self, a, b, context: str) -> None:
-        akind, aval = a
-        bkind, bval = b
-        if akind == "type" and bkind == "type":
-            if aval != bval:
-                raise TypeMismatch(f"{context}: {aval} does not match {bval}")
-        elif akind == "uid" and bkind == "uid":
-            self.solver.union(aval, bval, context)
-        elif akind == "uid":
-            self.solver.set_type(aval, bval, context)
+                got = self.term_type(arg)
+                self.constrain_equal(got, want, f"in {where}: call to {goal.rel}")
         else:
-            self.solver.set_type(bval, aval, context)
+            for v in goal.vars:
+                self.declare(v)
+            self.check_goal(goal.body)
+
+    def term_type(self, term: Term) -> int | str:
+        """A term's type: its placeholder's id for a variable, else its
+        type name.  Iterative; checks arguments left to right, depth first."""
+        # One frame per node above the term under check: [node, its argument
+        # types, its own type, index of the argument under check].
+        stack: list[list] = []
+        while True:
+            if isinstance(term, Hole):
+                got: int | str = term.var.id
+            else:
+                decl, got = self.schema.ctor(term.ctor)
+                if len(term.args) != len(decl.arg_types):
+                    raise ArityMismatch(
+                        f"in {self.where}: constructor {term.ctor} takes"
+                        f" {len(decl.arg_types)} arguments, got {len(term.args)}"
+                    )
+                if term.args:
+                    stack.append([term, decl.arg_types, got, 0])
+                    term = term.args[0]
+                    continue
+            # got is the type of the argument under check in the top frame.
+            while stack:
+                frame = stack[-1]
+                node, wants, owner, i = frame
+                self.constrain_equal(got, wants[i], f"in {self.where}: {node.ctor}(...)")
+                if i + 1 < len(node.args):
+                    frame[3] = i + 1
+                    term = node.args[i + 1]
+                    break
+                stack.pop()
+                got = owner
+            else:
+                return got
+
+    def constrain_equal(self, a: int | str, b: int | str, context: str) -> None:
+        """Equate two types, each a placeholder's id or a type name."""
+        if isinstance(a, str) and isinstance(b, str):
+            if a != b:
+                raise TypeMismatch(f"{context}: {a} does not match {b}")
+        elif isinstance(a, int) and isinstance(b, int):
+            self.solver.union(a, b, context)
+        elif isinstance(a, int):
+            self.solver.set_type(a, b, context)
+        else:
+            self.solver.set_type(b, a, context)
 
 
-def _instantiate(skeleton, ids) -> Goal:
-    kind = skeleton[0]
-    if kind == "unify":
-        return Unify(_term_from(skeleton[1], ids), _term_from(skeleton[2], ids))
-    if kind == "conj":
-        return Conj(tuple(_instantiate(g, ids) for g in skeleton[1]))
-    if kind == "disj":
-        return Disj(tuple(_instantiate(g, ids) for g in skeleton[1]))
-    if kind == "call":
-        return Call(skeleton[1], tuple(_term_from(t, ids) for t in skeleton[2]))
-    binders, body = skeleton[1], skeleton[2]
-    return Fresh(tuple(ids[b.uid] for b in binders), _instantiate(body, ids))
-
-
-def _term_from(walked, ids) -> Term:
-    if walked[0] == "var":
-        return Hole(ids[walked[1].uid])
-    return Node(walked[1], tuple(_term_from(a, ids) for a in walked[2]))
+def _retarget(goal: Goal, typed: dict[VarId, Hole]) -> Goal:
+    """The goal with each placeholder replaced by its typed variable."""
+    if isinstance(goal, Unify):
+        return Unify(deref(goal.lhs, typed), deref(goal.rhs, typed))
+    if isinstance(goal, Conj):
+        return Conj(tuple(_retarget(g, typed) for g in goal.goals))
+    if isinstance(goal, Disj):
+        return Disj(tuple(_retarget(g, typed) for g in goal.goals))
+    if isinstance(goal, Call):
+        return Call(goal.rel, tuple(deref(a, typed) for a in goal.args))
+    return Fresh(tuple(typed[v].var for v in goal.vars), _retarget(goal.body, typed))
 
 
 def parse_program(text: str) -> Program:
     """Parse and elaborate a full program; raises on any malformation."""
     parser = _Parser(text)
-    type_decls, srels = parser.parse_program_decls()
+    type_decls, rels = parser.parse_program_decls()
     schema = TermSchema(tuple(type_decls))
-    signatures = {}
-    for srel in srels:
-        if srel.name in signatures:
-            raise DuplicateName(f"relation {srel.name} is declared twice")
-        signatures[srel.name] = tuple(ptype for _, ptype in srel.params)
-    elab = _Elaborator(schema, signatures, VarSupply())
-    relations = tuple(elab.elaborate(srel) for srel in srels)
-    return Program(schema, relations)
+    signatures: dict[str, tuple[str, ...]] = {}
+    for rel, param_types in rels:
+        if rel.name in signatures:
+            raise DuplicateName(f"relation {rel.name} is declared twice")
+        signatures[rel.name] = param_types
+    supply = VarSupply()
+    elaborated = (_Elaborator(schema, signatures).elaborate(rel, supply) for rel, _ in rels)
+    return Program(schema, tuple(elaborated))
 
 
 def parse_ground_term(text: str) -> Node:
@@ -564,7 +519,7 @@ def parse_ground_term(text: str) -> Node:
     """
     parser = _Parser(text)
     variables: list[str] = []
-    term = parser.parse_term(var=variables.append, ctor=Node)
+    term = parser.parse_term(variables.append)
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected {trailing.text!r} at {trailing.at()}")

@@ -263,13 +263,15 @@ def test_bench_suite_and_reps_write_json(tmp_path, capsys, monkeypatch):
     assert [r["engine"] for r in records] == ["ref", "converted"]
     for r in records:
         assert set(r) == {
-            "suite", "query", "engine", "param", "median_ns", "reps",
-            "answers", "hash", "python",
+            "suite", "query", "engine", "param", "median_ns", "min_ns", "max_ns",
+            "reps", "answers", "hash", "python", "host",
         }
         assert (r["suite"], r["query"], r["param"]) == ("sort", "sorto@oi", "len=3")
         assert r["reps"] == 2 and r["answers"] == 6
         assert r["median_ns"] > 0
+        assert 0 < r["min_ns"] <= r["median_ns"] <= r["max_ns"]
         assert r["python"] == platform.python_version()
+        assert r["host"] == platform.node()
     assert records[0]["hash"] == records[1]["hash"]
     assert "sorto@oi" in out
 

@@ -20,7 +20,7 @@ from kanrel.modes import (
     check_direction,
     op_binds,
 )
-from kanrel.normal import FlatCtor, FlatVar, normalize_program
+from kanrel.normal import FlatCtor, FlatVar, normalize_program, op_vars
 from kanrel.parser import parse_program
 
 from conftest import corpus_program, schedulable_corpus_tables
@@ -430,3 +430,26 @@ def test_checks_run_as_soon_as_their_inputs_are_bound():
         for where in late_checks(proc)
     ]
     assert late == []
+
+
+def test_the_analyzer_draws_only_the_locals_it_keeps():
+    # Ranking an op must not draw: only the chosen mixed match adds fresh
+    # locals, so the added ids run from the first free id with no gaps.
+    for query, table in schedulable_corpus_tables():
+        nprog = table.nprog
+        source = {
+            v
+            for rel in nprog.relations
+            for v in rel.params
+            + tuple(v for c in rel.clauses for v in c.locals)
+            + tuple(v for c in rel.clauses for op in c.ops for v in op_vars(op))
+        }
+        top = max(v.id for v in source) + 1
+        added = sorted(
+            v.id
+            for proc in table.procs.values()
+            for clause in proc.clauses
+            for v in clause.locals
+            if v not in source
+        )
+        assert added == list(range(top, top + len(added))), query

@@ -21,7 +21,7 @@ from kanrel.parser import (
     parse_ground_term,
     parse_program,
 )
-from kanrel.pretty import format_program, format_term
+from kanrel.pretty import format_program, format_term, relation_vars
 from kanrel.schema import DuplicateName, Hole, Node, UnknownCtor, VarId
 
 NAT_TEXT = """
@@ -50,6 +50,13 @@ class TestCorpus:
     def test_missing_corpus_file(self):
         with pytest.raises(ParseError):
             load_corpus_text("mystery")
+
+    @pytest.mark.parametrize("name", ["nat", "sort", "balance", "typecheck"])
+    def test_variable_ids_run_without_gaps(self, name):
+        # Each relation draws its variables' ids once, in declaration order.
+        prog = corpus_program(name)
+        ids = [v.id for rel in prog.relations for v in relation_vars(rel)]
+        assert ids == list(range(len(ids)))
 
     def test_corpus_nat_matches_hand_built_program(self):
         parsed = corpus_program("nat")
@@ -156,6 +163,25 @@ class TestElaborationErrors:
         with pytest.raises(DuplicateName):
             parse_program(self.HEADER + "rel p(x: Nat) = fresh x . x == O.")
 
+    def test_fresh_shadowing_inside_a_nested_disjunction(self):
+        with pytest.raises(DuplicateName, match="fresh shadows y"):
+            parse_program(
+                self.HEADER
+                + "rel p(x: Nat) = fresh y . (x == y | (x == O | fresh y . y == O))."
+            )
+
+    def test_sibling_fresh_scopes_may_reuse_a_name(self):
+        prog = parse_program(
+            self.HEADER + "rel p(x: Nat) = (fresh y . x == S(y)) | (fresh y . y == x)."
+        )
+        assert len(run(prog, "p", (nat(2),))) == 2
+
+    def test_scope_errors_come_before_later_syntax_errors(self):
+        # Names are resolved while parsing, so the unbound variable of the
+        # first relation is reported before the second relation is read.
+        with pytest.raises(UnboundVariable, match="ghost"):
+            parse_program(self.HEADER + "rel p(x: Nat) = x == ghost.\nrel q(x: Nat) = ==.")
+
     def test_duplicate_relation(self):
         with pytest.raises(DuplicateName):
             parse_program(
@@ -204,6 +230,17 @@ class TestTypeInference:
             parse_program(
                 self.HEADER + "rel p(x: Nat, l: NatList) = fresh a . (x == a, l == a)."
             )
+
+
+class TestDeepPrograms:
+    def test_term_deeper_than_the_recursion_limit_elaborates(self):
+        # Elaboration walks terms without a frame per level.
+        deep = "S(" * 50_000 + "O" + ")" * 50_000
+        prog = parse_program(f"type Nat = O | S(Nat).\nrel big(x: Nat) = x == {deep}.\n")
+        body = prog.relation("big").body
+        # Compared as text: dataclass == recurses once per level.
+        assert format_term(body.rhs) == deep
+        assert body.lhs == Hole(prog.relation("big").params[0])
 
 
 class TestQueryTerms:
