@@ -13,7 +13,6 @@ answer at finite depth in any branch appears after finitely many pulls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Mapping
 
@@ -47,12 +46,37 @@ from .schema import (
 from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, unit
 
 
-@dataclass(frozen=True)
 class State:
-    """An immutable search state: bindings plus the next runtime variable id."""
+    """A search state: bindings plus the next runtime variable id.
+
+    Every goal step builds one, so it is a slotted class with a
+    hand-written constructor rather than a frozen dataclass, which pays one
+    ``object.__setattr__`` per field.  Nothing enforces immutability; by
+    convention no code assigns to a ``State`` or mutates its ``subst``
+    after construction (``unify`` extends a copy).  Equality, hashing and
+    repr are over ``(subst, counter)``; a dict ``subst`` makes the state
+    unhashable.
+    """
+
+    __slots__ = ("subst", "counter")
 
     subst: Mapping[VarId, Term]
     counter: int
+
+    def __init__(self, subst: Mapping[VarId, Term], counter: int) -> None:
+        self.subst = subst
+        self.counter = counter
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not State:
+            return NotImplemented
+        return self.subst == other.subst and self.counter == other.counter
+
+    def __hash__(self) -> int:
+        return hash((self.subst, self.counter))
+
+    def __repr__(self) -> str:
+        return f"State(subst={self.subst!r}, counter={self.counter!r})"
 
 
 def walk(term: Term, subst: Mapping[VarId, Term]) -> Term:

@@ -10,7 +10,7 @@ finite types, exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -43,21 +43,35 @@ class CyclicBindingError(Exception):
     """A substitution resolves a variable through itself."""
 
 
-@dataclass(frozen=True)
 class VarId:
     """A logic variable: globally numbered, tagged with the type it ranges over.
 
-    The display name is cosmetic and excluded from equality.
+    The display name is cosmetic: excluded from equality and hashing, shown
+    only by repr.  Variables key every substitution and environment lookup,
+    so the hash, ``hash((id, type))``, is computed once, in the constructor.
+
+    A slotted class with a hand-written constructor, not a frozen
+    dataclass: a frozen dataclass pays one ``object.__setattr__`` per field
+    on every construction.  Nothing enforces immutability; by convention no
+    code assigns to a ``VarId`` after construction.
     """
+
+    __slots__ = ("id", "type", "name", "_hash")
 
     id: int
     type: str
-    name: str | None = field(default=None, compare=False)
+    name: str | None
 
-    def __post_init__(self) -> None:
-        # Variables key every substitution and environment lookup, so the
-        # hash is computed once instead of per lookup.
-        object.__setattr__(self, "_hash", hash((self.id, self.type)))
+    def __init__(self, id: int, type: str, name: str | None = None) -> None:
+        self.id = id
+        self.type = type
+        self.name = name
+        self._hash = hash((id, type))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VarId:
+            return NotImplemented
+        return self.id == other.id and self.type == other.type
 
     def __hash__(self) -> int:
         return self._hash
@@ -67,26 +81,66 @@ class VarId:
         return f"?{label}{self.id}"
 
 
-@dataclass(frozen=True)
 class Hole:
-    """An unfilled position in a term."""
+    """An unfilled position in a term.
+
+    Equal holes hold equal variables; the hash is ``hash((var,))``.
+    Slotted and immutable by convention, as ``VarId`` is.
+    """
+
+    __slots__ = ("var",)
 
     var: VarId
+
+    def __init__(self, var: VarId) -> None:
+        self.var = var
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Hole:
+            return NotImplemented
+        return self.var == other.var
+
+    def __hash__(self) -> int:
+        return hash((self.var,))
+
+    def __repr__(self) -> str:
+        return f"Hole(var={self.var!r})"
 
     def __str__(self) -> str:
         return repr(self.var)
 
 
-@dataclass(frozen=True)
 class Node:
-    """A constructor application.  Ground terms are nests of these."""
+    """A constructor application.  Ground terms are nests of these.
+
+    Equal nodes have equal constructors and equal argument tuples; the hash
+    is ``hash((ctor, args))``.  Slotted and immutable by convention, as
+    ``VarId`` is, with one exception: ``_ground`` starts False and is set
+    to True on an instance, after construction, once ``is_ground`` finds it
+    hole-free.  False means "not known": an unmarked node may still be
+    ground.  The mark takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("ctor", "args", "_ground")
 
     ctor: str
-    args: tuple[Term, ...] = ()
-    # Set to True on an instance, outside the constructor, once is_ground
-    # finds it hole-free.  Not a field, so no part of eq, hash or repr.
-    # False means "not known": an unmarked node may still be ground.
-    _ground = False
+    args: tuple[Term, ...]
+
+    def __init__(self, ctor: str, args: tuple[Term, ...] = ()) -> None:
+        self.ctor = ctor
+        self.args = args
+        self._ground = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Node:
+            return NotImplemented
+        return self.ctor == other.ctor and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.ctor, self.args))
+
+    def __repr__(self) -> str:
+        return f"Node(ctor={self.ctor!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if not self.args:
@@ -328,13 +382,14 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 def is_ground(term: Term) -> bool:
     """True when the term holds no hole.
 
-    Every hole-free node below the term, the term included, is marked with
-    ``_ground`` (set outside the constructor, as ``VarId`` caches its hash),
-    and a marked node is not entered again, so asking about a term costs
-    its unmarked part only.  Only hole-free nodes are marked; nullary nodes
-    are ground without a mark.  Nodes are immutable, so the mark is a fact
-    about the term alone, never about a substitution, and it takes no part
-    in equality, hashing or repr.
+    Every hole-free node below the term, the term included, is marked by a
+    plain assignment to its ``_ground`` slot, after construction: the one
+    write to a built ``Node`` the code makes.  A marked node is not entered
+    again, so asking about a term costs its unmarked part only.  Only
+    hole-free nodes are marked; nullary nodes are ground without a mark.
+    Nodes are immutable by convention, so the mark is a fact about the term
+    alone, never about a substitution, and it takes no part in equality,
+    hashing or repr.
     """
     if isinstance(term, Hole):
         return False
@@ -352,7 +407,7 @@ def is_ground(term: Term) -> bool:
             if isinstance(a, Hole) or (a.args and not a._ground):
                 break
         else:
-            object.__setattr__(node, "_ground", True)
+            node._ground = True
     return term._ground
 
 
@@ -388,10 +443,14 @@ def holes(term: Term) -> tuple[VarId, ...]:
 
 
 def rebuild(term: Term, filling: Mapping[VarId, Term]) -> Term:
-    """Replace holes by the given terms; unmapped holes stay put."""
+    """Replace holes by the given terms; unmapped holes stay put.
+
+    A node that ``is_ground`` has marked holds no hole, so it is returned
+    as is, as ``deref`` returns it: the result shares it, not a copy.
+    """
     if isinstance(term, Hole):
         return filling.get(term.var, term)
-    if not term.args:
+    if not term.args or term._ground:
         return term
     return Node(term.ctor, tuple(rebuild(a, filling) for a in term.args))
 

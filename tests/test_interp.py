@@ -22,6 +22,7 @@ from conftest import (
 from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
 import kanrel.interp as interp_module
 from kanrel.interp import (
+    State,
     answer_iter,
     ground_answers,
     occurs,
@@ -53,6 +54,23 @@ def h(i: int) -> Hole:
 
 def as_ints(answer: tuple) -> tuple[int, ...]:
     return tuple(unnat(t) for t in answer)
+
+
+class TestState:
+    """A slotted value of two fields; equality and repr over both."""
+
+    def test_two_fields(self):
+        st = State({VarId(0, "Nat"): nat(1)}, 7)
+        assert State.__slots__ == ("subst", "counter")
+        assert not hasattr(st, "__dict__")
+        assert (st.subst, st.counter) == ({VarId(0, "Nat"): nat(1)}, 7)
+        assert State(subst={}, counter=2) == State({}, 2)
+        assert State({}, 2) != State({}, 3)
+        assert State({}, 2) != State({VarId(0, "Nat"): nat(0)}, 2)
+        assert State({}, 2).__eq__(({}, 2)) is NotImplemented
+        assert repr(State({}, 2)) == "State(subst={}, counter=2)"
+        with pytest.raises(TypeError):
+            hash(st)
 
 
 class TestUnify:
@@ -162,6 +180,14 @@ class TestGrounding:
         assert len(set(pairs)) == 30
         for wanted in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]:
             assert wanted in pairs
+
+    def test_default_builder_shares_a_marked_input(self):
+        # The ground part of an answer is not copied into each grounding.
+        x = nat(5)
+        assert is_ground(x)
+        grounded = take(ground_answers((x, Node("S", (h(0),))), SCHEMA), 3)
+        assert [unnat(b) for _, b in grounded] == [1, 2, 3]
+        assert all(a is x for a, _ in grounded)
 
     def test_ground_answer_passes_through(self):
         assert take(ground_answers((nat(1), nat(2)), SCHEMA), 3) == [(nat(1), nat(2))]

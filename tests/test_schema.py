@@ -241,8 +241,50 @@ class TestTermUtilities:
         assert is_ground(deref(t, subst))
 
     def test_varid_name_is_cosmetic(self):
-        assert VarId(7, "Nat", "x") == VarId(7, "Nat", "other")
+        assert VarId(7, "Nat", "x") == VarId(7, "Nat", "other") == VarId(7, "Nat")
         assert hash(VarId(7, "Nat", "x")) == hash(VarId(7, "Nat"))
+        assert VarId(7, "Nat") != VarId(8, "Nat")
+        assert VarId(7, "Nat") != VarId(7, "Bool")
+        assert (repr(VarId(7, "Nat", "x")), repr(VarId(7, "Nat"))) == ("?x7", "?_7")
+
+
+class TestValueSemantics:
+    """Field-tuple hashes, no equality across classes, dataclass-style repr."""
+
+    x = VarId(3, "Nat", "x")
+
+    def test_hashes_are_the_field_tuple_hashes(self):
+        t = Node("Cons", (nat(1), Node("Cons", (Hole(self.x), Node("Nil")))))
+        assert hash(t) == hash(("Cons", t.args))
+        assert hash(Node("O")) == hash(("O", ()))
+        assert hash(Hole(self.x)) == hash((self.x,))
+        assert hash(self.x) == hash((3, "Nat"))
+
+    def test_no_equality_across_classes(self):
+        node, hole = Node("O"), Hole(self.x)
+        assert node.__eq__(hole) is NotImplemented
+        assert hole.__eq__(node) is NotImplemented
+        assert self.x.__eq__(hole) is NotImplemented
+        assert node != hole and hole != node
+        assert Node("S", (node,)) != ("S", (node,))
+        assert ("S", (node,)) != Node("S", (node,))
+        assert hole != (self.x,) and self.x != (3, "Nat")
+
+    def test_repr_and_str_of_a_nested_term(self):
+        t = Node("Cons", (Node("S", (Node("O"),)), Node("Cons", (Hole(self.x), Node("Nil")))))
+        assert repr(t) == (
+            "Node(ctor='Cons', args=(Node(ctor='S', args=(Node(ctor='O', args=()),)),"
+            " Node(ctor='Cons', args=(Hole(var=?x3), Node(ctor='Nil', args=())))))"
+        )
+        assert str(t) == "Cons(S(O), Cons(?x3, Nil))"
+        assert (repr(Hole(self.x)), str(Hole(self.x))) == ("Hole(var=?x3)", "?x3")
+
+    def test_instances_carry_only_their_slots(self):
+        assert VarId.__slots__ == ("id", "type", "name", "_hash")
+        assert Hole.__slots__ == ("var",)
+        assert Node.__slots__ == ("ctor", "args", "_ground")
+        for value in (self.x, Hole(self.x), Node("O")):
+            assert not hasattr(value, "__dict__")
 
 
 class TestGroundMarks:
@@ -268,9 +310,11 @@ class TestGroundMarks:
 
     def test_marked_and_unmarked_equal_nodes_agree(self):
         marked, plain = natlist([2, 0]), natlist([2, 0])
+        before = (hash(marked), repr(marked), str(marked))
         assert is_ground(marked)
         assert marked._ground and not plain._ground
         assert marked == plain and plain == marked
+        assert (hash(marked), repr(marked), str(marked)) == before
         assert hash(marked) == hash(plain)
         assert repr(marked) == repr(plain) and str(marked) == str(plain)
         assert {marked: 1}[plain] == 1
@@ -405,6 +449,14 @@ class TestDerefSharing:
         out = deref(Node("Pair", (Hole(self.x), g)), {self.x: Node("O")})
         assert out.args[1] is g
 
+    def test_rebuild_returns_a_marked_subterm_as_is(self):
+        g = natlist([3, 1, 4])
+        assert is_ground(g)
+        assert rebuild(g, {self.x: Node("O")}) is g
+        out = rebuild(Node("Pair", (Hole(self.x), g)), {self.x: Node("O")})
+        assert out == Node("Pair", (Node("O"), g))
+        assert out.args[1] is g
+
     def test_chain_through_every_binding_is_not_a_cycle(self):
         # The count of bindings followed reaches len(subst) and stops there.
         vs = [VarId(i, "Nat") for i in range(8)]
@@ -419,7 +471,7 @@ class TestDerefSharing:
         subst = {vs[i]: Node("S", (Hole(vs[i + 1]),)) for i in range(depth)}
         subst[vs[depth]] = Node("O")
         node, k = deref(Hole(vs[0]), subst), 0
-        # Walked, not compared: dataclass == recurses.
+        # Walked, not compared: Node == recurses once per level.
         while node.ctor == "S":
             node, k = node.args[0], k + 1
         assert (k, node) == (depth, Node("O"))
