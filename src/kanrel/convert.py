@@ -15,6 +15,13 @@ Procedures that are at most semidet take the first answer of the same plan
 by running its lead and then each step's ``first``, with no streams
 allocated.
 
+A plan runs on envs: lists with one slot per variable of the procedure.
+The slots are numbered once, when the procedure's clauses are compiled, in
+the order of ``_proc_vars``, the tuple ``kanrel convert`` names variables
+by.  Ops read and write slots by index, a step copies an env with one
+slice, and a call enters its callee with a new list, so running a plan
+hashes no variable.
+
 Each top-level query keeps a table of shared (call-by-need) streams, keyed
 by relation, direction and ground in-values (call-variant tabling, as in
 Chen & Warren, "Tabled Evaluation with Delaying for General Logic
@@ -198,9 +205,7 @@ def _check_equal(a: Term, b: Term) -> bool:
         return True
     if is_ground(a) and is_ground(b):
         return False
-    raise ResidualViolation(
-        f"cannot compare partially symbolic values {a} and {b}"
-    )
+    raise ResidualViolation(f"cannot compare partially symbolic values {a} and {b}")
 
 
 class DirectedEngine:
@@ -211,6 +216,12 @@ class DirectedEngine:
         self.schema = table.nprog.schema
         self.inline, self._out_res, self._tabled = static_plan(table)
         self._holes = itertools.count(10_000_000)
+        # An env is a list with one slot per variable of its procedure, the
+        # variable's position in ``_proc_vars``; params hold the first slots.
+        self._slots, self._in_slots = {}, {}
+        for key, proc in table.procs.items():
+            slots = self._slots[key] = dict(zip(_proc_vars(proc), itertools.count()))
+            self._in_slots[key] = tuple(map(slots.__getitem__, proc.ins))
         self._plans = {
             key: [
                 self._compile_clause(proc, ci, clause)
@@ -225,10 +236,7 @@ class DirectedEngine:
         self, rel: str, direction: str, ins, n: int | None = None
     ) -> list[tuple[Term, ...]]:
         """First n answers (all answers when n is None; diverges if infinite)."""
-        answers = self.answer_iter(rel, direction, ins)
-        if n is None:
-            return list(answers)
-        return list(itertools.islice(answers, n))
+        return list(itertools.islice(self.answer_iter(rel, direction, ins), n))
 
     def answer_iter(self, rel: str, direction: str, ins):
         return stream_iter(self.answers_stream(rel, direction, ins))
@@ -260,39 +268,38 @@ class DirectedEngine:
         """
         proc = self.table.proc(rel, direction)
         env = self._entry_env(proc, ins)
+        arity = len(proc.params)
 
-        def emit(e: dict) -> Stream:
-            return unit(tuple(e[p] for p in proc.params))
+        def emit(e: list) -> Stream:
+            return unit(tuple(e[:arity]))
 
         if self.table.det(rel, direction) <= Det.SEMIDET:
             final = self._proc_first(proc, env)
             return None if final is None else emit(final)
         return lambda: bind(self._proc_stream(proc, env), emit)
 
-    def _entry_env(self, proc: DirectedProc, ins) -> dict[VarId, Term]:
+    def _entry_env(self, proc: DirectedProc, ins) -> list:
         ins = tuple(ins)
         check_input_count(proc.rel, proc.direction, ins)
         for p, value in zip(proc.ins, ins):
             if not is_ground(value):
                 raise InvalidValue(f"input for {p!r} must be ground, got {value}")
         check_args(self.schema, proc.rel, proc.ins, ins)
-        return dict(zip(proc.ins, ins))
-
-    def _fresh_hole(self, type_name: str) -> Hole:
-        return Hole(VarId(next(self._holes), type_name, "r"))
+        key = proc.rel, proc.direction
+        env = [None] * len(self._slots[key])
+        for i, value in zip(self._in_slots[key], ins):
+            env[i] = value
+        return env
 
     # --- execution ---
     #
-    # Each clause is compiled once into a plan ``(lead, steps)``.  Only calls
-    # and inline generation can yield many envs or suspend; each of them is
-    # a step.  The ops before the first step, which never suspend (guards,
-    # matches, assigns, deferred generation), are fused into ``lead``, a
-    # function of the entry env; the ops after a step are fused into that
-    # step's per-element function.  smap keeps the per-op bind chain's
-    # stream shape and answer order.
+    # Only calls and inline generation can yield many envs or suspend, so
+    # only they are steps; the ops fused around them (guards, matches,
+    # assigns, deferred generation) never suspend.  smap keeps the per-op
+    # bind chain's stream shape and answer order.
 
     def _proc_stream(
-        self, proc: DirectedProc, env: dict, table: dict | None = None
+        self, proc: DirectedProc, env: list, table: dict | None = None
     ) -> Stream:
         """The procedure's answer envs; ``table`` is the running query's
         table of shared streams, and a new query's when None.
@@ -307,13 +314,13 @@ class DirectedEngine:
         key = proc.rel, proc.direction
         if key not in self._tabled:
             return self._build_stream(proc, env, table)
-        entry = _table_key(key, [env[p] for p in proc.ins])
+        entry = _table_key(key, [env[i] for i in self._in_slots[key]])
         stream = table.get(entry)
         if stream is None:
             stream = table[entry] = share(self._build_stream(proc, env, table))
         return stream
 
-    def _build_stream(self, proc: DirectedProc, env: dict, table: dict) -> Stream:
+    def _build_stream(self, proc: DirectedProc, env: list, table: dict) -> Stream:
         """The interleaved answer envs of the procedure's plans.
 
         ``bind(unit(env), f)`` is ``f(env)``, shape and forcing included, so
@@ -329,7 +336,7 @@ class DirectedEngine:
                 streams.append(out)
         return mplus_all(streams)
 
-    def _proc_first(self, proc: DirectedProc, env: dict) -> dict | None:
+    def _proc_first(self, proc: DirectedProc, env: list) -> list | None:
         """First answer of the procedure's plans, without building streams.
 
         Only for procedures that are at most semidet.  Each of their steps
@@ -351,11 +358,10 @@ class DirectedEngine:
         return None
 
     def _compile_clause(self, proc: DirectedProc, ci: int, clause: DirectedClause):
-        """Plan ``(lead, steps)``; see ``_compile_step`` for a step.
-
-        ``lead`` maps the entry env to a new env or None, and is None when
-        no op precedes the first step.
-        """
+        """Plan ``(lead, steps)``; see ``_compile_step`` for a step.  ``lead``
+        maps the entry env to a new env or None, and is None when no op
+        precedes the first step."""
+        slots = self._slots[proc.rel, proc.direction]
         heads: list[ModedOp] = []
         runs: list[list] = [[]]
         for oi, op in enumerate(clause.ops):
@@ -366,19 +372,20 @@ class DirectedEngine:
                 heads.append(op)
                 runs.append([])
             else:
-                runs[-1].append(self._compile_mature(op))
+                runs[-1].append(self._compile_mature(slots, op))
         lead = self._fuse(runs[0]) if runs[0] else None
-        return lead, tuple(map(self._compile_step, heads, runs[1:]))
+        return lead, tuple(map(partial(self._compile_step, slots), heads, runs[1:]))
 
     @staticmethod
     def _fuse(steps: list):
-        steps = list(steps)
+        """The ops ``steps`` as one function: it runs them on a copy of its
+        env, which stays unchanged, and returns None on failure."""
         if len(steps) == 1:
             single = steps[0]
-            return lambda env: single(dict(env))
+            return lambda env: single(env[:])
 
-        def fused(env: dict) -> dict | None:
-            env = dict(env)
+        def fused(env: list) -> list | None:
+            env = env[:]
             for step in steps:
                 env = step(env)
                 if env is None:
@@ -387,19 +394,20 @@ class DirectedEngine:
 
         return fused
 
-    def _compile_mature(self, op: ModedOp):
-        """One op as a function mutating its (owned) env, None on failure."""
+    def _compile_mature(self, slots: dict[VarId, int], op: ModedOp):
+        """One op as a function that writes into its env, a list it owns, by
+        the slots of ``slots``; it returns the env, or None on failure."""
         if isinstance(op, Guard):
-            var, other = op.var, op.other
+            var, other = slots[op.var], slots[op.other]
 
-            def step(env: dict) -> dict | None:
+            def step(env: list) -> list | None:
                 return env if _check_equal(env[var], env[other]) else None
 
             return step
         if isinstance(op, GuardCtor):
-            var, ctor, args = op.var, op.ctor, op.args
+            var, ctor, args = slots[op.var], op.ctor, [slots[a] for a in op.args]
 
-            def step(env: dict) -> dict | None:
+            def step(env: list) -> list | None:
                 val = self._concrete(env[var])
                 if val.ctor != ctor:
                     return None
@@ -410,9 +418,9 @@ class DirectedEngine:
 
             return step
         if isinstance(op, Match):
-            var, ctor, args = op.var, op.ctor, op.args
+            var, ctor, args = slots[op.var], op.ctor, [slots[a] for a in op.args]
 
-            def step(env: dict) -> dict | None:
+            def step(env: list) -> list | None:
                 val = self._concrete(env[var])
                 if val.ctor != ctor:
                     return None
@@ -421,17 +429,17 @@ class DirectedEngine:
                 return env
 
             return step
+        var = slots[op.var]
         if isinstance(op, Assign):
-            var = op.var
             if isinstance(op.term, FlatVar):
-                src = op.term.var
+                src = slots[op.term.var]
 
-                def step(env: dict) -> dict:
+                def step(env: list) -> list:
                     env[var] = env[src]
                     return env
 
                 return step
-            ctor, args = op.term.ctor, op.term.args
+            ctor, args = op.term.ctor, [slots[a] for a in op.term.args]
             # Arity-specialized: these run once per element on hot paths.  One
             # generic step for every arity made perfbench nat_enum
             # converted.query_s 0.113 -> 0.132 s (medians of 4 paired runs,
@@ -439,7 +447,7 @@ class DirectedEngine:
             if not args:
                 const = Node(ctor, ())
 
-                def step(env: dict) -> dict:
+                def step(env: list) -> list:
                     env[var] = const
                     return env
 
@@ -447,7 +455,7 @@ class DirectedEngine:
             if len(args) == 1:
                 (a0,) = args
 
-                def step(env: dict) -> dict:
+                def step(env: list) -> list:
                     env[var] = Node(ctor, (env[a0],))
                     return env
 
@@ -455,91 +463,95 @@ class DirectedEngine:
             if len(args) == 2:
                 a0, a1 = args
 
-                def step(env: dict) -> dict:
+                def step(env: list) -> list:
                     env[var] = Node(ctor, (env[a0], env[a1]))
                     return env
 
                 return step
 
-            def step(env: dict) -> dict:
+            def step(env: list) -> list:
                 env[var] = Node(ctor, tuple([env[a] for a in args]))
                 return env
 
             return step
         assert isinstance(op, GenerateVar)
-        var, type_name = op.var, op.var.type
+        holes, type_name = self._holes, op.var.type
 
-        def step(env: dict) -> dict:
-            env[var] = self._fresh_hole(type_name)
+        def step(env: list) -> list:
+            env[var] = Hole(VarId(next(holes), type_name, "r"))
             return env
 
         return step
 
-    def _compile_step(self, op: DirCall | GenerateVar, post: list):
+    def _compile_step(self, slots: dict, op: DirCall | GenerateVar, post: list):
         """A call or an inline enumeration, then the fused ops ``post``.
 
         Returns ``(fn, first)``.  ``fn`` maps the query's table and an env to
         a stream of envs; ``first`` maps an env to the step's first
-        surviving env, or None.  Each element of a callee's stream is its
-        env, and each enumerated value comes as a 1-tuple, so one per-element
-        continuation copies either kind's outs and runs ``post``: one dict
-        copy and one smap call per element, not a stream layer.
+        surviving env, or None.  A call enters its callee with a new list
+        that holds the in-values at the callee's slots.  Each element of a
+        callee's stream is its env, and each enumerated value comes as a
+        1-tuple, so one ``cont`` copies either kind's outs by slot into a
+        slice of the env and runs ``post``: one list copy and one smap call
+        per element, not a stream layer.
 
         The semidet path spends two Python frames per recursion level:
-        ``_proc_first`` and a call step's ``first``, which calls it directly.
-        A third frame per level would lower the deepest answer that fits
-        under the recursion limit.
+        ``_proc_first`` and a call step's ``first``, which calls it directly
+        and runs ``cont`` once it returns.  A third frame per level would
+        lower the deepest answer that fits under the recursion limit.
         """
         post = tuple(post)
-        if isinstance(op, GenerateVar):
-            outs = ((op.var, 0),)
-        else:
-            callee = self.table.proc(op.rel, op.direction)
-            ins = tuple(zip(callee.ins, op.ins))
-            outs = tuple(zip(op.outs, callee.outs))
 
-        def leave(env: dict):
-            """Per-call continuation: copy the outs, run post."""
-
-            def emit(got) -> dict | None:
-                env2 = dict(env)
-                for a, p in outs:
-                    env2[a] = got[p]
-                for s in post:
-                    env2 = s(env2)
-                    if env2 is None:
-                        return None
-                return env2
-
-            return emit
+        def cont(env: list, got) -> list | None:
+            # ``outs``, (slot in env, index in got) pairs, is bound below.
+            env2 = env[:]
+            for a, p in outs:
+                env2[a] = got[p]
+            for s in post:
+                env2 = s(env2)
+                if env2 is None:
+                    return None
+            return env2
 
         if isinstance(op, GenerateVar):
+            outs = ((slots[op.var], 0),)
             generate, type_name = self.schema.generate, op.var.type
 
-            def step(table: dict, env: dict) -> Stream:
-                return smap(from_iterator(zip(generate(type_name))), leave(env))
+            def step(table: dict, env: list) -> Stream:
+                return smap(from_iterator(zip(generate(type_name))), partial(cont, env))
 
-            def first(env: dict) -> dict | None:
-                emit = leave(env)
+            def first(env: list) -> list | None:
                 for value in zip(generate(type_name)):
-                    env2 = emit(value)
+                    env2 = cont(env, value)
                     if env2 is not None:
                         return env2
                 return None
 
             return step, first
 
+        key = op.rel, op.direction
+        callee, callee_slots = self.table.proc(*key), self._slots[key]
+        size = len(callee_slots)
+        ins = tuple((callee_slots[p], slots[a]) for p, a in zip(callee.ins, op.ins))
+        outs = tuple((slots[a], callee_slots[p]) for a, p in zip(op.outs, callee.outs))
         proc_stream, proc_first = self._proc_stream, self._proc_first
 
-        def step(table: dict, env: dict) -> Stream:
-            sub_env = {p: env[a] for p, a in ins}
-            emit = leave(env)
+        # Both build the callee's entry list inline: a shared helper made
+        # converted addo@iio at a=500 8% slower (Python 3.11).
+        def step(table: dict, env: list) -> Stream:
+            sub = [None] * size
+            for p, a in ins:
+                sub[p] = env[a]
+            emit = partial(cont, env)
             # The single delay per call: same placement as the search engine.
-            return lambda: smap(proc_stream(callee, sub_env, table), emit)
+            return lambda: smap(proc_stream(callee, sub, table), emit)
 
-        def first(env: dict) -> dict | None:
-            got = proc_first(callee, {p: env[a] for p, a in ins})
-            return None if got is None else leave(env)(got)
+        def first(env: list) -> list | None:
+            sub = [None] * size
+            for p, a in ins:
+                sub[p] = env[a]
+            got = proc_first(callee, sub)
+            return None if got is None else cont(env, got)
 
         return step, first
 
@@ -611,37 +623,25 @@ def _plug_or_none(term: Term, index: dict[VarId, int]):
 # --- textual emission ---
 
 
-def transitive_procs(
-    table: ModeTable, rel: str, direction: str
-) -> list[DirectedProc]:
+def transitive_procs(table: ModeTable, rel: str, direction: str) -> list[DirectedProc]:
     """The requested procedure followed by everything it calls, in BFS order."""
-    start = table.proc(rel, direction)
     seen = {(rel, direction)}
-    order = [start]
-    queue = [start]
-    while queue:
-        proc = queue.pop(0)
+    order = [table.proc(rel, direction)]
+    for proc in order:  # order is the BFS queue: it grows as it is read
         for clause in proc.clauses:
             for op in clause.ops:
-                if isinstance(op, DirCall):
-                    key = (op.rel, op.direction)
-                    if key not in seen:
-                        seen.add(key)
-                        callee = table.proc(op.rel, op.direction)
-                        order.append(callee)
-                        queue.append(callee)
+                if isinstance(op, DirCall) and (op.rel, op.direction) not in seen:
+                    seen.add((op.rel, op.direction))
+                    order.append(table.proc(op.rel, op.direction))
     return order
 
 
-def _proc_names(proc: DirectedProc) -> dict[VarId, str]:
-    seen: dict[VarId, None] = dict.fromkeys(proc.params)
-    for clause in proc.clauses:
-        for v in clause.locals:
-            seen.setdefault(v)
-        for op in clause.ops:
-            for v in op_binds(op):
-                seen.setdefault(v)
-    return display_names(tuple(seen))
+def _proc_vars(proc: DirectedProc) -> tuple[VarId, ...]:
+    """The procedure's variables, each once: its params in order, then each
+    clause's locals, which hold every other variable its ops use.  The engine
+    numbers env slots and ``emit_proc`` names variables by this tuple."""
+    clause_locals = (c.locals for c in proc.clauses)
+    return tuple(dict.fromkeys(itertools.chain(proc.params, *clause_locals)))
 
 
 def emit_proc(
@@ -652,7 +652,7 @@ def emit_proc(
 ) -> str:
     """One procedure as text; ``inline`` and ``tabled`` are from its table's
     ``static_plan``, and calls of a tabled procedure are marked ``# tabled``."""
-    names = _proc_names(proc)
+    names = display_names(_proc_vars(proc))
     ins = [names[p] for p in proc.ins]
     outs = [names[p] for p in proc.outs]
     combinator = "firstOf" if det <= Det.SEMIDET else "interleaveOf"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 
 import pytest
@@ -71,9 +72,10 @@ def stream_all(eng: DirectedEngine, rel: str, direction: str, ins):
     """Raw interleaving path, bypassing the single-answer shortcut."""
     proc = eng.table.proc(rel, direction)
     env = eng._entry_env(proc, ins)
+    slots = eng._slots[rel, direction]
     out = []
     for final in stream_iter(eng._proc_stream(proc, env)):
-        out.append(tuple(final[p] for p in proc.params))
+        out.append(tuple(final[slots[p]] for p in proc.params))
     return out
 
 
@@ -415,6 +417,81 @@ def test_leaves_io():
     eng = engine_for("balance", [("leaves", "io")])
     tree = Node("Node", (Node("Leaf", ()), Node("Node", (Node("Leaf", ()), Node("Leaf", ())))))
     assert eng.run("leaves", "io", (tree,), None) == [(tree, nat(3))]
+
+
+# --- pinned answer order ---
+
+CTX = Node("CCons", (Node("TInt"), Node("CCons", (Node("TBool"), Node("CNil")))))
+
+PINNED_QUERIES = [
+    ("nat", "addo", "oio", (nat(3),), 200),
+    ("nat", "addo", "ioo", (nat(4),), 200),
+    ("nat", "addo", "ooi", (nat(64),), None),
+    ("nat", "addo", "iio", (nat(40), nat(25)), None),
+    ("nat", "addo", "iii", (nat(40), nat(25), nat(65)), None),
+    ("sort", "sorto", "oi", (natlist([0, 1, 2, 3, 4]),), None),
+    ("typecheck", "typo", "oi", (Node("TBool"),), 500),
+    ("typecheck", "typov", "ioi", (CTX, Node("TInt")), 500),
+    ("balance", "balanceo", "oo", (), 100),
+]
+
+# sha256 of the repr of each converted answer list, taken on the engine
+# whose envs were dicts keyed by variable: a runtime change that reorders,
+# drops or alters any answer shows here.
+ANSWER_DIGESTS = {
+    "addo@oio": "31ba6e41e3fb31048bf9f13440f5dcf546f2bae5a28f41fb718caaadc5231684",
+    "addo@ioo": "3ad61d8e4380a5db690d34f872b9b53e84dbe612b8bed2a674fbcc3c7f3f8adf",
+    "addo@ooi": "650418eeb702a6bc44ae7ff7270346d11f3b01c5c0ab5059d5f73557591f8525",
+    "addo@iio": "8168bdb61c83e1eeab7a942f2756bcbc7e8ab99a04452b26fcdb4f127337880d",
+    "addo@iii": "8168bdb61c83e1eeab7a942f2756bcbc7e8ab99a04452b26fcdb4f127337880d",
+    "sorto@oi": "a707d5baaafd234118d05785ef27d5a27e8d67d93a3124dc560a4fe48202301f",
+    "typo@oi": "f44509f4710e9c7e35e0e5f355090e3b64b9234ed5f12e34382cf9c32e1d891c",
+    "typov@ioi": "0a713dd18bed9c3980b3338b790332db21043a48b7f8db00d8f32b5fe0332649",
+    "balanceo@oo": "ea6240a22e6d11ed5a748bd7bc51a1f80dfd36a80c4aeb9fd79c2a7b0fa27b36",
+}
+
+
+@pytest.mark.parametrize(
+    "name, rel, direction, ins, n",
+    PINNED_QUERIES,
+    ids=[f"{rel}@{d}" for _, rel, d, _, _ in PINNED_QUERIES],
+)
+def test_answer_lists_are_pinned(name, rel, direction, ins, n):
+    answers = engine_for(name, [(rel, direction)]).run(rel, direction, ins, n)
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == ANSWER_DIGESTS[f"{rel}@{direction}"]
+
+
+@pytest.mark.parametrize(
+    "direction, small, large",
+    [
+        ("ooi", ((nat(32),), None), ((nat(256),), None)),
+        ("oio", ((nat(3),), 32), ((nat(3),), 256)),
+    ],
+    ids=["ooi", "oio"],
+)
+def test_converted_runs_hash_no_variable(direction, small, large, monkeypatch):
+    # Envs are lists indexed by slot numbers fixed at compile time, so a
+    # built engine hashes the same number of variables however many answers
+    # or levels a query has.
+    eng = engine_for("nat", [("addo", direction)])
+    calls = 0
+    real = VarId.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(VarId, "__hash__", counting)
+
+    def hashes(ins, n) -> int:
+        nonlocal calls
+        calls = 0
+        assert len(eng.run("addo", direction, ins, n)) == (n or unnat(ins[0]) + 1)
+        return calls
+
+    assert hashes(*small) == hashes(*large)
 
 
 # --- tabling ---
