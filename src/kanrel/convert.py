@@ -87,6 +87,7 @@ from .streams import (
     share,
     smap,
     stream_iter,
+    take,
     unit,
 )
 
@@ -236,7 +237,7 @@ class DirectedEngine:
         self, rel: str, direction: str, ins, n: int | None = None
     ) -> list[tuple[Term, ...]]:
         """First n answers (all answers when n is None; diverges if infinite)."""
-        return list(itertools.islice(self.answer_iter(rel, direction, ins), n))
+        return take(self.answers_stream(rel, direction, ins), n)
 
     def answer_iter(self, rel: str, direction: str, ins):
         return stream_iter(self.answers_stream(rel, direction, ins))

@@ -1,10 +1,10 @@
 """Reference engine: interleaving search over goals, answers via streams.
 
 Goals compile (per relation, cached) to closures from an environment and a
-search state to a stream of states.  The environment maps source variables
-to runtime terms; parameters are bound by substitution at call time and
-fresh variables draw new runtime holes from the state's counter, so every
-invocation of a relation works on its own variables.
+substitution to a stream of substitutions.  The environment maps source
+variables to runtime terms; parameters are bound by substitution at call
+time and fresh variables draw new runtime holes from the query's one id
+supply, so every invocation of a relation works on its own variables.
 
 Each relation call contributes exactly one delay to its answer stream.
 Combined with the swap-on-delay merge this makes the search complete: an
@@ -13,7 +13,7 @@ answer at finite depth in any branch appears after finitely many pulls.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count
 from typing import Callable, Iterator, Mapping
 
 from .goals import (
@@ -43,43 +43,13 @@ from .schema import (
     is_ground,
     rebuild,
 )
-from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, unit
+from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, take, unit
 
 
-class State:
-    """A search state: bindings plus the next runtime variable id.
-
-    Every goal step builds one, so it is a slotted class with a
-    hand-written constructor rather than a frozen dataclass, which pays one
-    ``object.__setattr__`` per field.  Nothing enforces immutability; by
-    convention no code assigns to a ``State`` or mutates its ``subst``
-    after construction (``unify`` extends a copy).  Equality, hashing and
-    repr are over ``(subst, counter)``; a dict ``subst`` makes the state
-    unhashable.
-    """
-
-    __slots__ = ("subst", "counter")
-
-    subst: Mapping[VarId, Term]
-    counter: int
-
-    def __init__(self, subst: Mapping[VarId, Term], counter: int) -> None:
-        self.subst = subst
-        self.counter = counter
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not State:
-            return NotImplemented
-        return self.subst == other.subst and self.counter == other.counter
-
-    def __hash__(self) -> int:
-        return hash((self.subst, self.counter))
-
-    def __repr__(self) -> str:
-        return f"State(subst={self.subst!r}, counter={self.counter!r})"
+Subst = Mapping[VarId, Term]
 
 
-def walk(term: Term, subst: Mapping[VarId, Term]) -> Term:
+def walk(term: Term, subst: Subst) -> Term:
     while isinstance(term, Hole):
         bound = subst.get(term.var)
         if bound is None:
@@ -88,7 +58,7 @@ def walk(term: Term, subst: Mapping[VarId, Term]) -> Term:
     return term
 
 
-def occurs(var: VarId, term: Term, subst: Mapping[VarId, Term]) -> bool:
+def occurs(var: VarId, term: Term, subst: Subst) -> bool:
     """True when var appears in term once the bindings of subst are followed.
 
     Iterative.  A walked node that ``is_ground`` finds hole-free cannot hold
@@ -123,9 +93,7 @@ def _shallow_type(term: Term, schema: TermSchema) -> str:
     return schema.ctor(term.ctor)[1]
 
 
-def unify(
-    lhs: Term, rhs: Term, subst: Mapping[VarId, Term], schema: TermSchema
-) -> Mapping[VarId, Term] | None:
+def unify(lhs: Term, rhs: Term, subst: Subst, schema: TermSchema) -> Subst | None:
     """Extend subst to make the terms equal, or None if they cannot be.
 
     Binding a hole to a term of a different type raises TypeMismatch: the
@@ -147,7 +115,7 @@ def unify(
         )
     if l.ctor != r.ctor or len(l.args) != len(r.args):
         return None
-    out: Mapping[VarId, Term] | None = subst
+    out: Subst | None = subst
     for a, b in zip(l.args, r.args):
         out = unify(a, b, out, schema)
         if out is None:
@@ -155,9 +123,7 @@ def unify(
     return out
 
 
-def _bind_hole(
-    var: VarId, term: Term, subst: Mapping[VarId, Term], schema: TermSchema
-) -> Mapping[VarId, Term] | None:
+def _bind_hole(var: VarId, term: Term, subst: Subst, schema: TermSchema) -> Subst | None:
     if _shallow_type(term, schema) != var.type:
         raise TypeMismatch(
             f"cannot bind {var!r} : {var.type} to a {_shallow_type(term, schema)}"
@@ -170,14 +136,20 @@ def _bind_hole(
 
 
 Env = Mapping[VarId, Term]
-GoalClosure = Callable[[Env, State], Stream]
+GoalClosure = Callable[[Env, Subst], Stream]
 
 
 class RefEval(GoalInterpreter[GoalClosure]):
-    """Compiles goals to stream-producing closures; one instance per program."""
+    """Compiles goals to stream-producing closures; one instance per query.
 
-    def __init__(self, program: Program) -> None:
+    Fresh variables take their ids from one supply that starts at
+    ``first_id``, so ids are distinct within the query and never collide
+    with its query variables when ``first_id`` is above their ids.
+    """
+
+    def __init__(self, program: Program, first_id: int) -> None:
         self.program = program
+        self._ids = count(first_id)
         self._bodies: dict[str, GoalClosure] = {}
 
     def compile(self, goal: Goal) -> GoalClosure:
@@ -190,25 +162,23 @@ class RefEval(GoalInterpreter[GoalClosure]):
             self._bodies[rel_name] = cached
         return cached
 
-    def invoke(self, rel_name: str, args: tuple[Term, ...], st: State) -> Stream:
+    def invoke(self, rel_name: str, args: tuple[Term, ...], subst: Subst) -> Stream:
         relation = self.program.relation(rel_name)
         env = dict(zip(relation.params, args))
-        return self.body_closure(rel_name)(env, st)
+        return self.body_closure(rel_name)(env, subst)
 
     def on_unify(self, goal: Unify) -> GoalClosure:
-        def run(env: Env, st: State) -> Stream:
-            subst = unify(
-                rebuild(goal.lhs, env), rebuild(goal.rhs, env), st.subst, self.program.schema
+        def run(env: Env, subst: Subst) -> Stream:
+            out = unify(
+                rebuild(goal.lhs, env), rebuild(goal.rhs, env), subst, self.program.schema
             )
-            if subst is None:
-                return None
-            return unit(State(subst, st.counter))
+            return None if out is None else unit(out)
 
         return run
 
     def on_conj(self, goal: Conj, parts: tuple[GoalClosure, ...]) -> GoalClosure:
-        def run(env: Env, st: State) -> Stream:
-            out: Stream = unit(st)
+        def run(env: Env, subst: Subst) -> Stream:
+            out: Stream = unit(subst)
             for part in parts:
                 out = bind(out, lambda s, part=part: part(env, s))
             return out
@@ -216,26 +186,26 @@ class RefEval(GoalInterpreter[GoalClosure]):
         return run
 
     def on_disj(self, goal: Disj, parts: tuple[GoalClosure, ...]) -> GoalClosure:
-        def run(env: Env, st: State) -> Stream:
-            return mplus_all([part(env, st) for part in parts])
+        def run(env: Env, subst: Subst) -> Stream:
+            return mplus_all([part(env, subst) for part in parts])
 
         return run
 
     def on_call(self, goal: Call) -> GoalClosure:
-        def run(env: Env, st: State) -> Stream:
+        def run(env: Env, subst: Subst) -> Stream:
             args = tuple(rebuild(a, env) for a in goal.args)
-            return lambda: self.invoke(goal.rel, args, st)
+            return lambda: self.invoke(goal.rel, args, subst)
 
         return run
 
     def on_fresh(self, goal: Fresh, body: GoalClosure) -> GoalClosure:
-        def run(env: Env, st: State) -> Stream:
+        ids = self._ids
+
+        def run(env: Env, subst: Subst) -> Stream:
             bumped = {**env}
-            counter = st.counter
             for v in goal.vars:
-                bumped[v] = Hole(VarId(counter, v.type, v.name))
-                counter += 1
-            return body(bumped, State(st.subst, counter))
+                bumped[v] = Hole(VarId(next(ids), v.type, v.name))
+            return body(bumped, subst)
 
         return run
 
@@ -304,8 +274,10 @@ def query_stream(
 ) -> Stream:
     """Stream of answer tuples (the query arguments, instantiated and ground).
 
-    Holes in the arguments are query variables.  Answers that leave a hole
-    unconstrained are grounded by enumeration.
+    Holes in the arguments are query variables.  The search starts from the
+    empty substitution, with one ``RefEval`` whose id supply begins above
+    the query variables' ids.  Answers that leave a hole unconstrained are
+    grounded by enumeration.
     """
     relation = program.relation(rel_name)
     if len(args) != len(relation.params):
@@ -313,16 +285,15 @@ def query_stream(
             f"{rel_name} takes {len(relation.params)} arguments, got {len(args)}"
         )
     check_args(program.schema, rel_name, relation.params, args)
-    query_vars: list[int] = [v.id for a in args for v in holes(a)]
-    st0 = State({}, max(query_vars, default=-1) + 1)
-    ev = RefEval(program)
-    states: Stream = lambda: ev.invoke(rel_name, args, st0)
+    query_vars = [v.id for a in args for v in holes(a)]
+    ev = RefEval(program, max(query_vars, default=-1) + 1)
+    substs: Stream = lambda: ev.invoke(rel_name, args, {})
 
-    def emit(st: State) -> Stream:
-        answer = tuple(deref(a, st.subst) for a in args)
+    def emit(subst: Subst) -> Stream:
+        answer = tuple(deref(a, subst) for a in args)
         return ground_answers(answer, program.schema)
 
-    return bind(states, emit)
+    return bind(substs, emit)
 
 
 def run(
@@ -332,10 +303,7 @@ def run(
     n: int | None = None,
 ) -> list[tuple[Term, ...]]:
     """First n answers (all answers when n is None; diverges if infinite)."""
-    answers = stream_iter(query_stream(program, rel_name, args))
-    if n is None:
-        return list(answers)
-    return list(islice(answers, n))
+    return take(query_stream(program, rel_name, args), n)
 
 
 def answer_iter(

@@ -20,7 +20,7 @@ from .goals import (
     Unify,
     fold_goal,
 )
-from .schema import Hole, Term, TypeDecl, VarId, holes
+from .schema import Hole, Term, TypeDecl, VarId, holes, term_text
 
 
 def display_names(vars: tuple[VarId, ...]) -> dict[VarId, str]:
@@ -42,28 +42,13 @@ def display_names(vars: tuple[VarId, ...]) -> dict[VarId, str]:
 
 def format_term(term: Term, names: Mapping[VarId, str] | None = None) -> str:
     """Surface syntax of a term.  Iterative, so any depth prints."""
-    out: list[str] = []
-    # Terms still to print, and the literal text between them.
-    pending: list[Term | str] = [term]
-    while pending:
-        t = pending.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif isinstance(t, Hole):
-            if names is not None and t.var in names:
-                out.append(names[t.var])
-            else:
-                out.append(t.var.name if t.var.name is not None else f"v{t.var.id}")
-        elif not t.args:
-            out.append(t.ctor)
-        else:
-            out.append(f"{t.ctor}(")
-            pending.append(")")
-            for i in range(len(t.args) - 1, -1, -1):
-                pending.append(t.args[i])
-                if i:
-                    pending.append(", ")
-    return "".join(out)
+
+    def hole_text(hole: Hole) -> str:
+        if names is not None and hole.var in names:
+            return names[hole.var]
+        return hole.var.name if hole.var.name is not None else f"v{hole.var.id}"
+
+    return term_text(term, hole_text)
 
 
 class Pretty(GoalInterpreter[str]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class SchemaError(Exception):
@@ -143,9 +143,7 @@ class Node:
         return f"Node(ctor={self.ctor!r}, args={self.args!r})"
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.ctor
-        return f"{self.ctor}({', '.join(str(a) for a in self.args)})"
+        return term_text(self)
 
 
 Term = Hole | Node
@@ -440,6 +438,32 @@ def holes(term: Term) -> tuple[VarId, ...]:
                 stack += args[:0:-1]
             t = args[0]
     return tuple(seen)
+
+
+def term_text(term: Term, hole_text: Callable[[Hole], str] = str) -> str:
+    """A term as text, ``C(a, b)``, with each hole as ``hole_text`` renders it.
+
+    Iterative, so any depth prints.
+    """
+    out: list[str] = []
+    # Terms still to print, and the literal text between them.
+    pending: list[Term | str] = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Hole):
+            out.append(hole_text(t))
+        elif not t.args:
+            out.append(t.ctor)
+        else:
+            out.append(f"{t.ctor}(")
+            pending.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                pending.append(t.args[i])
+                if i:
+                    pending.append(", ")
+    return "".join(out)
 
 
 def rebuild(term: Term, filling: Mapping[VarId, Term]) -> Term:

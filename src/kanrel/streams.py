@@ -22,6 +22,7 @@ consumers can read one stream.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 # Stream pulls are not what needs this: under the default limit of 1000
@@ -172,15 +173,6 @@ def stream_iter(s: Stream) -> Iterator[Any]:
         yield head
 
 
-def take(s: Stream, n: int) -> list[Any]:
-    out: list[Any] = []
-    it = stream_iter(s)
-    for _ in range(n):
-        nxt = next(it, _DONE)
-        if nxt is _DONE:
-            break
-        out.append(nxt)
-    return out
-
-
-_DONE = object()
+def take(s: Stream, n: int | None) -> list[Any]:
+    """The first n answers of s; all of them when n is None."""
+    return list(islice(stream_iter(s), n))

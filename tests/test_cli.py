@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -22,6 +23,16 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m kanrel *argv`` in a child process that imports the same
+    kanrel package as this test run, whatever PYTHONPATH says."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "kanrel", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 # --- run ---
@@ -154,10 +165,9 @@ def test_deep_ill_typed_input_exits_one():
     # A subprocess, as in the deep-answer tests below.
     deep = "S(" * 10_000 + "O" + ")" * 10_000
     for engine in ("ref", "converted"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
-             "--dir", "iio", "--engine", engine, "--in", deep, "--in", "Nil"],
-            capture_output=True, text=True,
+        proc = run_child(
+            "run", "nat", "--rel", "addo", "--dir", "iio", "--engine", engine,
+            "--in", deep, "--in", "Nil",
         )
         assert (engine, proc.returncode, proc.stdout) == (engine, 1, "")
         assert "Nil" in proc.stderr and "Traceback" not in proc.stderr, engine
@@ -328,10 +338,9 @@ def test_deep_answer_prints_on_both_engines():
     a = "S(" * 7900 + "O" + ")" * 7900
     want = f"({a}, {a}, {'S(' * 15800}O{')' * 15800})\n"
     for engine in ("ref", "converted"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
-             "--dir", "iio", "--engine", engine, "--in", a, "--in", a],
-            capture_output=True, text=True,
+        proc = run_child(
+            "run", "nat", "--rel", "addo", "--dir", "iio", "--engine", engine,
+            "--in", a, "--in", a,
         )
         assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
         assert proc.stdout == want, engine
@@ -348,10 +357,9 @@ def test_deep_answer_prints_as_json_on_both_engines():
 
     want = "[[" + ",".join([nat_json(7900), nat_json(7900), nat_json(15800)]) + "]]\n"
     for engine in ("ref", "converted"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
-             "--dir", "iio", "--engine", engine, "--in", a, "--in", a, "--json"],
-            capture_output=True, text=True,
+        proc = run_child(
+            "run", "nat", "--rel", "addo", "--dir", "iio", "--engine", engine,
+            "--in", a, "--in", a, "--json",
         )
         assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
         assert proc.stdout == want, engine
@@ -379,10 +387,9 @@ def test_readme_documents_every_subcommand():
 
 
 def test_python_dash_m_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "kanrel", "run", "nat", "--rel", "addo",
-         "--dir", "iii", "--in", "S(O)", "--in", "S(O)", "--in", "S(S(O))"],
-        capture_output=True, text=True,
+    proc = run_child(
+        "run", "nat", "--rel", "addo", "--dir", "iii",
+        "--in", "S(O)", "--in", "S(O)", "--in", "S(S(O))",
     )
     assert proc.returncode == 0
     assert proc.stdout == "(S(O), S(O), S(S(O)))\n"

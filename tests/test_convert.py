@@ -450,16 +450,36 @@ ANSWER_DIGESTS = {
     "balanceo@oo": "ea6240a22e6d11ed5a748bd7bc51a1f80dfd36a80c4aeb9fd79c2a7b0fa27b36",
 }
 
+# The search engine's lists, taken on the engine whose search states
+# carried a variable counter.  They equal the converted ones except on
+# sorto@oi, where the converter reorders calls and so answers (see the
+# convert module docstring).
+REF_DIGESTS = {
+    **ANSWER_DIGESTS,
+    "sorto@oi": "f0ad3688ec5ae7382fa79fc46cd0cd3217e5719f10b490629c47a9e94047acba",
+}
+
 
 @pytest.mark.parametrize(
-    "name, rel, direction, ins, n",
-    PINNED_QUERIES,
-    ids=[f"{rel}@{d}" for _, rel, d, _, _ in PINNED_QUERIES],
+    "engine, name, rel, direction, ins, n",
+    [
+        # The converted cases keep the ids they had before ref was pinned.
+        pytest.param(engine, *q, id=f"{prefix}{q[1]}@{q[2]}")
+        for engine, prefix in (("converted", ""), ("ref", "ref-"))
+        for q in PINNED_QUERIES
+    ],
 )
-def test_answer_lists_are_pinned(name, rel, direction, ins, n):
-    answers = engine_for(name, [(rel, direction)]).run(rel, direction, ins, n)
+def test_answer_lists_are_pinned(engine, name, rel, direction, ins, n):
+    if engine == "ref":
+        program = corpus_program(name)
+        args = query_args(program.relation(rel), direction, ins)
+        answers = run(program, rel, args, n)
+        digests = REF_DIGESTS
+    else:
+        answers = engine_for(name, [(rel, direction)]).run(rel, direction, ins, n)
+        digests = ANSWER_DIGESTS
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
-    assert digest == ANSWER_DIGESTS[f"{rel}@{direction}"]
+    assert digest == digests[f"{rel}@{direction}"]
 
 
 @pytest.mark.parametrize(
@@ -700,6 +720,15 @@ def test_entry_validation(addo_engine):
         addo_engine.run("addo", "iio", (Node("Nil", ()), nat(1)), 1)
     with pytest.raises(ModeError):
         addo_engine.run("addo", "oo", (nat(1),), 1)
+
+
+def test_deep_non_ground_input_is_invalid(addo_engine):
+    # The error message prints the whole input, past the recursion limit.
+    deep = qhole(0)
+    for _ in range(50_000):
+        deep = Node("S", (deep,))
+    with pytest.raises(InvalidValue, match=r"got S\(S\("):
+        addo_engine.run("addo", "iio", (deep, nat(0)), 1)
 
 
 def ref_sorto_oi(ins):

@@ -22,7 +22,7 @@ from conftest import (
 from kanrel.goals import ArityMismatch, TypeMismatch, UnknownRelation
 import kanrel.interp as interp_module
 from kanrel.interp import (
-    State,
+    RefEval,
     answer_iter,
     ground_answers,
     occurs,
@@ -56,21 +56,18 @@ def as_ints(answer: tuple) -> tuple[int, ...]:
     return tuple(unnat(t) for t in answer)
 
 
-class TestState:
-    """A slotted value of two fields; equality and repr over both."""
-
-    def test_two_fields(self):
-        st = State({VarId(0, "Nat"): nat(1)}, 7)
-        assert State.__slots__ == ("subst", "counter")
-        assert not hasattr(st, "__dict__")
-        assert (st.subst, st.counter) == ({VarId(0, "Nat"): nat(1)}, 7)
-        assert State(subst={}, counter=2) == State({}, 2)
-        assert State({}, 2) != State({}, 3)
-        assert State({}, 2) != State({VarId(0, "Nat"): nat(0)}, 2)
-        assert State({}, 2).__eq__(({}, 2)) is NotImplemented
-        assert repr(State({}, 2)) == "State(subst={}, counter=2)"
-        with pytest.raises(TypeError):
-            hash(st)
+def test_search_threads_substitutions_from_one_id_supply():
+    # Stream elements are bare substitutions.  Fresh ids come from the
+    # query's one supply, from the first id up: an x2 and a z2 per level.
+    ev = RefEval(PROG, 2)
+    substs = take(ev.invoke("addo", (h(0), h(1), nat(3)), {}), None)
+    assert all(type(s) is dict for s in substs)
+    assert [sorted(v.id for v in s) for s in substs] == [
+        [0, 1],
+        [0, 1, 2, 3],
+        [0, 1, 2, 3, 4, 5],
+        [0, 1, 2, 3, 4, 5, 6, 7],
+    ]
 
 
 class TestUnify:

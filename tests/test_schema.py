@@ -279,6 +279,9 @@ class TestValueSemantics:
         assert str(t) == "Cons(S(O), Cons(?x3, Nil))"
         assert (repr(Hole(self.x)), str(Hole(self.x))) == ("Hole(var=?x3)", "?x3")
 
+    def test_str_of_a_term_past_the_recursion_limit(self):
+        assert str(nat(50_000)) == "S(" * 50_000 + "O" + ")" * 50_000
+
     def test_instances_carry_only_their_slots(self):
         assert VarId.__slots__ == ("id", "type", "name", "_hash")
         assert Hole.__slots__ == ("var",)
