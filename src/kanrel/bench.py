@@ -149,6 +149,10 @@ def default_rows() -> list[RowSpec]:
         rows.append(
             RowSpec("add_nondet", "nat", "addo", "oio", (eight,), n, f"n={n}", "y=8")
         )
+    for z in (64, 128, 256, 512):
+        rows.append(
+            RowSpec("add_nondet", "nat", "addo", "ooi", (_nat(z),), None, f"z={z}")
+        )
     for a in (256, 512, 1024):
         rows.append(
             RowSpec(

@@ -1,19 +1,22 @@
 """Execution of directed procedures.
 
-Each clause of a procedure is compiled once into a plan ``(lead, steps)``,
-and that plan is the procedure's only executable form.  Each step is one
-call or inline enumeration, with the ops after it fused into its
+Each clause of a procedure is compiled once into a plan ``(lead, steps,
+tail)``, and that plan is the procedure's only executable form.  Each step
+is one call or inline enumeration, with the ops after it fused into its
 per-element function; ``lead`` fuses the ops before the first step, and is
-None when there are none.  A step is a pair ``(fn, first)``.  Procedures
-that can yield many answers run the ``fn``s on the same interleaving
-stream algebra as the search engine, with exactly one delay introduced per
-call.  Both engines give the same answers.  Where the schedule keeps the
-source's call order they give them in the same order, list for list; where
-it reorders calls, only the answer multisets are sure to agree (converted
-``sorto@oi`` orders its answers differently from four values on).
-Procedures that are at most semidet take the first answer of the same plan
-by running its lead and then each step's ``first``, with no streams
-allocated.
+None when there are none.  A step is a pair ``(fn, first)``; ``tail`` is
+the clause's last call if ``tail_calls`` picks it.  Procedures that can
+yield many answers run the ``fn``s on the same interleaving stream algebra
+as the search engine, with exactly one delay introduced per call; a tail
+call passes its continuation down as a frame instead of wrapping its
+callee's stream, so answer k of a recursion does not come up through k
+layers (Bour, Clément & Scherer, "Tail Modulo Cons", 2021).  Both engines
+give the same answers.  Where the schedule keeps the source's call order they
+give them in the same order, list for list; where it reorders calls, only
+the answer multisets are sure to agree (converted ``sorto@oi`` orders its
+answers differently from four values on).  Procedures that are at most
+semidet take the first answer of the same plan in a loop over an explicit
+stack, with no streams allocated.
 
 A plan runs on envs: lists with one slot per variable of the procedure.
 The slots are numbered once, when the procedure's clauses are compiled, in
@@ -198,6 +201,26 @@ def tabled_procs(table: ModeTable, out_res: OutResiduals) -> set[tuple[str, str]
     return tabled
 
 
+def tail_calls(
+    table: ModeTable, inline: set[SourceId], tabled: set[tuple[str, str]]
+) -> set[SourceId]:
+    """Calls that pass their caller's remaining work down as a frame: the
+    last step of a clause, followed only by ops that cannot fail (assigns,
+    deferred generation), whose callee is not tabled.  A continuation that
+    can drop an answer does not commute with ``mplus``, and a tabled stream
+    must not depend on its caller.  ``inline``, ``tabled``: ``static_plan``'s."""
+    tails: set[SourceId] = set()
+    for (rel, direction), proc in table.procs.items():
+        for ci, clause in enumerate(proc.clauses):
+            for oi in reversed(range(len(clause.ops))):
+                op, src = clause.ops[oi], (rel, direction, ci, oi)
+                if isinstance(op, DirCall) and (op.rel, op.direction) not in tabled:
+                    tails.add(src)
+                if not isinstance(op, (Assign, GenerateVar)) or src in inline:
+                    break
+    return tails
+
+
 # --- runtime ---
 
 
@@ -216,6 +239,7 @@ class DirectedEngine:
         self.table = table
         self.schema = table.nprog.schema
         self.inline, self._out_res, self._tabled = static_plan(table)
+        self._tails = tail_calls(table, self.inline, self._tabled)
         self._holes = itertools.count(10_000_000)
         # An env is a list with one slot per variable of its procedure, the
         # variable's position in ``_proc_vars``; params hold the first slots.
@@ -223,13 +247,11 @@ class DirectedEngine:
         for key, proc in table.procs.items():
             slots = self._slots[key] = dict(zip(_proc_vars(proc), itertools.count()))
             self._in_slots[key] = tuple(map(slots.__getitem__, proc.ins))
-        self._plans = {
-            key: [
-                self._compile_clause(proc, ci, clause)
-                for ci, clause in enumerate(proc.clauses)
-            ]
-            for key, proc in table.procs.items()
-        }
+        self._plans = {key: [] for key in table.procs}  # a tail holds its callee's list
+        for key, proc in table.procs.items():
+            self._plans[key] += map(
+                partial(self._compile_clause, proc), itertools.count(), proc.clauses
+            )
 
     # --- entry points ---
 
@@ -321,20 +343,29 @@ class DirectedEngine:
             stream = table[entry] = share(self._build_stream(proc, env, table))
         return stream
 
-    def _build_stream(self, proc: DirectedProc, env: list, table: dict) -> Stream:
-        """The interleaved answer envs of the procedure's plans.
-
-        ``bind(unit(env), f)`` is ``f(env)``, shape and forcing included, so
-        the first step is applied to the lead's env directly.
+    def _build_stream(self, proc: DirectedProc, env: list, table: dict, frames=None):
+        """The interleaved answer envs of the procedure's plans, mapped through
+        ``frames``, None or a linked list ``(cont, env, rest)`` that tail calls
+        push: a clause that ends in a tail call hands them on, and any other
+        maps its answers once through ``_apply``.  ``bind(unit(env), f)`` is
+        ``f(env)``, so the first step is applied to the lead's env directly.
         """
         streams = []
-        for lead, steps in self._plans[proc.rel, proc.direction]:
+        for lead, steps, tail in self._plans[proc.rel, proc.direction]:
             got = env if lead is None else lead(env)
-            if got is not None:
-                out = steps[0][0](table, got) if steps else unit(got)
+            if got is None:
+                continue
+            if not steps:
+                out = tail[0](table, frames, got) if tail else unit(_apply(frames, got))
+            else:
+                out = steps[0][0](table, got)
                 for fn, _ in steps[1:]:
                     out = bind(out, partial(fn, table))
-                streams.append(out)
+                if tail is not None:
+                    out = bind(out, partial(tail[0], table, frames))
+                elif frames is not None:
+                    out = smap(out, partial(_apply, frames))
+            streams.append(out)
         return mplus_all(streams)
 
     def _proc_first(self, proc: DirectedProc, env: list) -> list | None:
@@ -344,9 +375,19 @@ class DirectedEngine:
         yields at most one env (callees are at most semidet, and inline
         generation fills only singleton types), so walking the lead and the
         steps' first functions in order finds the one answer the stream
-        would yield.
+        would yield.  A tail call pushes the plans, the next clause, the entry
+        env, its ``cont`` and its env, and descends: an answer is mapped up
+        through the pushed ``cont``s, and a callee out of clauses resumes its
+        caller at the caller's next clause.
         """
-        for lead, steps in self._plans[proc.rel, proc.direction]:
+        plans, ci, stack = self._plans[proc.rel, proc.direction], 0, []
+        while True:
+            while ci == len(plans):
+                if not stack:
+                    return None
+                plans, ci, env, _, _ = stack.pop()
+            lead, steps, tail = plans[ci]
+            ci += 1
             got = env if lead is None else lead(env)
             # step[1] is the step's first.  Unpacking each step here instead
             # made converted addo@iio at a=500 8% slower (Python 3.11).
@@ -354,14 +395,20 @@ class DirectedEngine:
                 if got is None:
                     break
                 got = step[1](got)
-            if got is not None:
+            if got is None:
+                continue
+            if tail is None:
+                for _, _, _, cont, caller in reversed(stack):
+                    got = cont(caller, got)
                 return got
-        return None
+            _, callee_plans, enter, cont = tail
+            stack.append((plans, ci, env, cont, got))
+            plans, ci, env = callee_plans, 0, enter(got)
 
     def _compile_clause(self, proc: DirectedProc, ci: int, clause: DirectedClause):
-        """Plan ``(lead, steps)``; see ``_compile_step`` for a step.  ``lead``
-        maps the entry env to a new env or None, and is None when no op
-        precedes the first step."""
+        """Plan ``(lead, steps, tail)``; see ``_compile_step`` for a step and
+        a tail.  ``lead`` maps the entry env to a new env or None, and is
+        None when no op precedes the first step."""
         slots = self._slots[proc.rel, proc.direction]
         heads: list[ModedOp] = []
         runs: list[list] = [[]]
@@ -375,7 +422,11 @@ class DirectedEngine:
             else:
                 runs[-1].append(self._compile_mature(slots, op))
         lead = self._fuse(runs[0]) if runs[0] else None
-        return lead, tuple(map(partial(self._compile_step, slots), heads, runs[1:]))
+        tail, last = None, len(clause.ops) - 1 - len(runs[-1])  # the last step's op
+        if (proc.rel, proc.direction, ci, last) in self._tails:
+            tail = self._compile_step(slots, heads.pop(), runs.pop(), tail=True)
+        steps = tuple(map(partial(self._compile_step, slots), heads, runs[1:]))
+        return lead, steps, tail
 
     @staticmethod
     def _fuse(steps: list):
@@ -442,9 +493,10 @@ class DirectedEngine:
                 return step
             ctor, args = op.term.ctor, [slots[a] for a in op.term.args]
             # Arity-specialized: these run once per element on hot paths.  One
-            # generic step for every arity made perfbench nat_enum
-            # converted.query_s 0.113 -> 0.132 s (medians of 4 paired runs,
-            # seeds 1-4, slower in all 4; Python 3.11, 2-vCPU Xeon).
+            # generic step for every arity (a list comprehension) made perfbench
+            # nat_enum converted.query_s 0.113 -> 0.132 s (medians of 4 paired
+            # runs, seeds 1-4, slower in all 4; Python 3.11, 2-vCPU Xeon).  From
+            # arity 2 on, ``itemgetter`` builds the argument tuple in C.
             if not args:
                 const = Node(ctor, ())
 
@@ -461,17 +513,10 @@ class DirectedEngine:
                     return env
 
                 return step
-            if len(args) == 2:
-                a0, a1 = args
-
-                def step(env: list) -> list:
-                    env[var] = Node(ctor, (env[a0], env[a1]))
-                    return env
-
-                return step
+            get = itemgetter(*args)
 
             def step(env: list) -> list:
-                env[var] = Node(ctor, tuple([env[a] for a in args]))
+                env[var] = Node(ctor, get(env))
                 return env
 
             return step
@@ -484,7 +529,7 @@ class DirectedEngine:
 
         return step
 
-    def _compile_step(self, slots: dict, op: DirCall | GenerateVar, post: list):
+    def _compile_step(self, slots, op: DirCall | GenerateVar, post: list, tail=False):
         """A call or an inline enumeration, then the fused ops ``post``.
 
         Returns ``(fn, first)``.  ``fn`` maps the query's table and an env to
@@ -494,12 +539,10 @@ class DirectedEngine:
         callee's stream is its env, and each enumerated value comes as a
         1-tuple, so one ``cont`` copies either kind's outs by slot into a
         slice of the env and runs ``post``: one list copy and one smap call
-        per element, not a stream layer.
-
-        The semidet path spends two Python frames per recursion level:
-        ``_proc_first`` and a call step's ``first``, which calls it directly
-        and runs ``cont`` once it returns.  A third frame per level would
-        lower the deepest answer that fits under the recursion limit.
+        per element.  A ``tail`` call returns ``(push, callee plans, enter,
+        cont)``: ``push`` maps the table, the frames and an env to the
+        callee's stream with ``(cont, env, frames)`` pushed, and ``enter``
+        maps an env to the callee's entry env.
         """
         post = tuple(post)
 
@@ -537,21 +580,28 @@ class DirectedEngine:
         outs = tuple((slots[a], callee_slots[p]) for a, p in zip(op.outs, callee.outs))
         proc_stream, proc_first = self._proc_stream, self._proc_first
 
-        # Both build the callee's entry list inline: a shared helper made
-        # converted addo@iio at a=500 8% slower (Python 3.11).
-        def step(table: dict, env: list) -> Stream:
+        def enter(env: list) -> list:
             sub = [None] * size
             for p, a in ins:
                 sub[p] = env[a]
-            emit = partial(cont, env)
+            return sub
+
+        if tail:
+            build = self._build_stream
+
+            def push(table: dict, frames, env: list) -> Stream:
+                # One delay, as in ``step``; the callee is not tabled.
+                return lambda: build(callee, enter(env), table, (cont, env, frames))
+
+            return push, self._plans[key], enter, cont
+
+        def step(table: dict, env: list) -> Stream:
+            sub, emit = enter(env), partial(cont, env)
             # The single delay per call: same placement as the search engine.
             return lambda: smap(proc_stream(callee, sub, table), emit)
 
         def first(env: list) -> list | None:
-            sub = [None] * size
-            for p, a in ins:
-                sub[p] = env[a]
-            got = proc_first(callee, sub)
+            got = proc_first(callee, enter(env))
             return None if got is None else cont(env, got)
 
         return step, first
@@ -562,6 +612,14 @@ class DirectedEngine:
                 f"symbolic hole {val.var!r} reached a destructuring operation"
             )
         return val
+
+
+def _apply(frames, got: list) -> list:
+    """``got`` through pushed frames, innermost first; a tail's cont cannot fail."""
+    while frames is not None:
+        cont, env, frames = frames
+        got = cont(env, got)
+    return got
 
 
 def _table_key(key: tuple[str, str], values: list[Node]) -> tuple[str, ...]:
@@ -650,9 +708,11 @@ def emit_proc(
     det: Det,
     inline: set[SourceId],
     tabled: set[tuple[str, str]],
+    tails: set[SourceId],
 ) -> str:
     """One procedure as text; ``inline`` and ``tabled`` are from its table's
-    ``static_plan``, and calls of a tabled procedure are marked ``# tabled``."""
+    ``static_plan`` and ``tails`` from ``tail_calls``.  Calls of a tabled
+    procedure are marked ``# tabled``, and tail calls ``# tail``."""
     names = display_names(_proc_vars(proc))
     ins = [names[p] for p in proc.ins]
     outs = [names[p] for p in proc.outs]
@@ -667,10 +727,10 @@ def emit_proc(
         if not clause.ops:
             lines.append("      succeed")
         for oi, op in enumerate(clause.ops):
-            enumerates = (proc.rel, proc.direction, ci, oi) in inline
+            src = proc.rel, proc.direction, ci, oi
             reads = isinstance(op, DirCall) and (op.rel, op.direction) in tabled
-            mark = "  # tabled" if reads else ""
-            lines.append(f"      {_emit_op(op, names, enumerates)}{mark}")
+            mark = "  # tabled" if reads else "  # tail" if src in tails else ""
+            lines.append(f"      {_emit_op(op, names, src in inline)}{mark}")
     return "\n".join(lines)
 
 
@@ -704,7 +764,6 @@ def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> s
 def emit_text(table: ModeTable, rel: str, direction: str) -> str:
     procs = transitive_procs(table, rel, direction)
     inline, _, tabled = static_plan(table)
-    chunks = [
-        emit_proc(p, table.det(p.rel, p.direction), inline, tabled) for p in procs
-    ]
+    marks = inline, tabled, tail_calls(table, inline, tabled)
+    chunks = [emit_proc(p, table.det(p.rel, p.direction), *marks) for p in procs]
     return "\n\n".join(chunks) + "\n"

@@ -26,20 +26,18 @@ from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 # Stream pulls are not what needs this: under the default limit of 1000
-# every add_nondet, sort, typecheck and balance bench row runs.  What
-# overflows is recursion per level of a deep term, first on add_det rows:
-# the converter's semidet path (``convert._proc_first`` plus the ``first``
-# of a ``_compile_step`` call step, two frames per level, from addo@iio
-# a=512), the equality of two terms in a base-case guard (converted
-# addo@iii a=256: ``schema.Node.__eq__`` compares the argument tuples,
-# which calls it again one level down), and the search engine's recursive
-# ``interp.unify`` (ref addo@iii a=1024).  Grounding recurses too:
-# ``convert._plug_or_none`` two frames per level (itself and its list
-# comprehension), the plugs it builds one per level of holed nodes, and
-# ``schema.rebuild``, ref's default builder, two per level of unmarked
-# nodes; ``schema.deref`` does not.  Tests that overflow without it: the
-# two deep-answer CLI tests, and in test_convert the past-the-limit
-# ``addo@iio``, the ``addo@oio`` own-stream and the chain-grounding tests.
+# every add_nondet, sort, typecheck and balance bench row runs, and the
+# converter's semidet path descends in a loop (``convert._proc_first``).
+# What overflows is recursion per level of a deep term: the equality of two
+# terms in a base-case guard (converted addo@iii a=256: ``schema.Node.__eq__``
+# compares the argument tuples, which calls it again one level down) and
+# the search engine's recursive ``interp.unify`` (ref addo@iii a=1024).
+# Grounding recurses too: ``convert._plug_or_none`` two frames per level
+# (itself and its list comprehension), the plugs it builds one per level of
+# holed nodes, and ``schema.rebuild``, ref's default builder, two per level
+# of unmarked nodes; ``schema.deref`` does not.  Tests that overflow without
+# it: the two deep-answer CLI tests, and in test_convert the ``addo@oio``
+# own-stream and the chain-grounding tests.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 Stream = Any  # None | tuple[Any, "Stream"] | Callable[[], "Stream"]

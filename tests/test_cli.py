@@ -228,7 +228,7 @@ def test_modes_shows_scheduled_clause_order(capsys):
     clause1 = out.split("    allOf:\n")[2].splitlines()
     assert [line.strip() for line in clause1[:3]] == [
         "match S(x2) = x",
-        "(z2) := addo_iio(x2, y)",
+        "(z2) := addo_iio(x2, y)  # tail",
         "z := S(z2)",
     ]
 
@@ -344,6 +344,22 @@ def test_deep_answer_prints_on_both_engines():
         )
         assert (engine, proc.returncode, proc.stderr) == (engine, 0, "")
         assert proc.stdout == want, engine
+
+
+def test_converted_semidet_recursion_runs_at_depth():
+    # The converter's semidet path descends in a loop: at two Python frames
+    # per level this exited 2 with a RecursionError from S^10000(O) on.
+    # 43 000 is about the deepest Nat one argument can carry, since Linux
+    # caps an argv string at 128 KiB and S^k(O) is 3k + 1 characters; the
+    # engine is pinned at depth 50 000 in test_convert.
+    k = 43_000
+    a = "S(" * k + "O" + ")" * k
+    proc = run_child(
+        "run", "nat", "--rel", "addo", "--dir", "iio", "--engine", "converted",
+        "--in", a, "--in", "S(O)",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"({a}, S(O), {'S(' * (k + 1)}O{')' * (k + 1)})\n"
 
 
 def test_deep_answer_prints_as_json_on_both_engines():

@@ -227,14 +227,48 @@ def test_addo_iio_answers_past_the_recursion_limit_of_is_ground():
     assert [unnat(t) for t in answers[0]] == [9000, 3, 9003]
 
 
+def test_addo_iio_answers_at_depth_50000():
+    # The semidet path descends in a loop over an explicit stack; at two
+    # Python frames per level it raised RecursionError from S^10000(O).
+    eng = engine_for("nat", [("addo", "iio")])
+    (answer,) = eng.run("addo", "iio", (nat(50_000), nat(3)), None)
+    assert [unnat(t) for t in answer] == [50_000, 3, 50_003]
+
+
+def test_addo_ooi_drains_without_a_layer_per_level(monkeypatch):
+    # addo^ooi's recursive call is a tail call: it passes its continuation
+    # down as a frame instead of wrapping the callee's stream.  With one
+    # smap layer per level, draining made 1 056 smap calls at z=32 and
+    # 65 792 at z=256.
+    calls = 0
+    real = streams_module.smap
+
+    def counting(s, f):
+        nonlocal calls
+        calls += 1
+        return real(s, f)
+
+    # smap recurses through its own module's name; convert imported it.
+    monkeypatch.setattr(streams_module, "smap", counting)
+    monkeypatch.setattr(convert_module, "smap", counting)
+    eng = engine_for("nat", [("addo", "ooi")])
+    for z in (32, 256):
+        calls = 0
+        answers = eng.run("addo", "ooi", (nat(z),), None)
+        assert [(unnat(x), unnat(y)) for x, y, _ in answers] == [
+            (i, z - i) for i in range(z + 1)
+        ]
+        assert calls == 0, z
+
+
 def streams_built(monkeypatch) -> collections.Counter:
     """Count the streams each (rel, direction) builds, in engines made after."""
     built: collections.Counter = collections.Counter()
     real = DirectedEngine._build_stream
 
-    def counting(self, proc, env, table):
+    def counting(self, proc, env, table, frames=None):
         built[proc.rel, proc.direction] += 1
-        return real(self, proc, env, table)
+        return real(self, proc, env, table, frames)
 
     monkeypatch.setattr(DirectedEngine, "_build_stream", counting)
     return built
@@ -552,6 +586,27 @@ def test_tabled_balance_keeps_the_reference_order():
     assert eng.run("balanceo", "oo", (), 100) == ref
 
 
+@pytest.mark.parametrize(
+    "name, rel, direction, ins, n",
+    [
+        ("nat", "addo", "oio", (nat(3),), 64),
+        ("sort", "sorto", "oi", (natlist([0, 1, 2, 3, 4]),), None),
+        ("balance", "balanced", "oi", (nat(7),), None),
+        ("balance", "balanceo", "oo", (), 100),
+    ],
+    ids=["addo@oio", "sorto@oi", "balanced@oi", "balanceo@oo"],
+)
+def test_tabling_keeps_the_converted_answer_list(
+    monkeypatch, name, rel, direction, ins, n
+):
+    # Without tabling, the calls of formerly tabled procedures that end
+    # their clause become tail calls, so this also compares the two paths.
+    untabled = untabled_engine(monkeypatch, name, [(rel, direction)])
+    eng = engine_for(name, [(rel, direction)])
+    assert eng._tabled and not untabled._tabled
+    assert eng.run(rel, direction, ins, n) == untabled.run(rel, direction, ins, n)
+
+
 def test_sorto_oi_builds_one_stream_per_sublist(monkeypatch):
     built = streams_built(monkeypatch)
     eng = engine_for("sort", [("sorto", "oi")])
@@ -798,7 +853,7 @@ def test_emit_addo_iio(addo_engine):
         "      z := y\n"
         "    allOf:\n"
         "      match S(x2) = x\n"
-        "      (z2) := addo_iio(x2, y)\n"
+        "      (z2) := addo_iio(x2, y)  # tail\n"
         "      z := S(z2)\n"
     )
 
@@ -821,10 +876,11 @@ def test_emit_marks_the_calls_that_read_the_table(sort_engine, addo_engine):
     assert "      (x2, z2) := addo_oio(y)  # tabled\n" in oio
 
 
-def printed_plan(text: str) -> tuple[set, set]:
-    """(relation, direction, clause, op) of each ``generate`` line and of each
-    call marked ``# tabled`` in the text of ``emit_text``."""
-    generated, marked = set(), set()
+def printed_plan(text: str) -> tuple[set, set, set]:
+    """(relation, direction, clause, op) of each ``generate`` line, of each
+    call marked ``# tabled`` and of each marked ``# tail`` in the text of
+    ``emit_text``."""
+    generated, marked, tails = set(), set(), set()
     for line in text.splitlines():
         if line.startswith("proc "):
             rel, _, direction = line[len("proc ") : line.index("(")].rpartition("_")
@@ -836,13 +892,34 @@ def printed_plan(text: str) -> tuple[set, set]:
                 generated.add((rel, direction, ci, oi))
             if line.endswith("  # tabled"):
                 marked.add((rel, direction, ci, oi))
+            if line.endswith("  # tail"):
+                tails.add((rel, direction, ci, oi))
             oi += 1
-    return generated, marked
+    return generated, marked, tails
+
+
+def pushing_steps(eng: DirectedEngine, procs) -> set:
+    """(relation, direction, clause, op) of each call the engine compiled to
+    push a frame: the last step of each clause whose plan has a tail."""
+    found = set()
+    for p in procs:
+        for ci, clause in enumerate(p.clauses):
+            if eng._plans[p.rel, p.direction][ci][2] is None:
+                continue
+            last = max(
+                oi
+                for oi, op in enumerate(clause.ops)
+                if isinstance(op, DirCall)
+                or (p.rel, p.direction, ci, oi) in eng.inline
+            )
+            assert isinstance(clause.ops[last], DirCall)
+            found.add((p.rel, p.direction, ci, last))
+    return found
 
 
 def test_convert_prints_what_runs():
     tables = schedulable_corpus_tables()
-    with_inline = with_marks = 0
+    with_inline = with_marks = with_tails = 0
     for (name, rel, d), table in tables:
         eng = DirectedEngine(table)
         procs = transitive_procs(table, rel, d)
@@ -854,12 +931,14 @@ def test_convert_prints_what_runs():
             for oi, op in enumerate(clause.ops)
             if isinstance(op, DirCall) and (op.rel, op.direction) in eng._tabled
         }
-        generated, marked = printed_plan(emit_text(table, rel, d))
+        generated, marked, tails = printed_plan(emit_text(table, rel, d))
         assert generated == {s for s in eng.inline if s[:2] in keys}, (name, rel, d)
         assert marked == tabled_calls, (name, rel, d)
+        assert tails == pushing_steps(eng, procs), (name, rel, d)
         with_inline += bool(generated)
         with_marks += bool(marked)
-    assert (len(tables), with_inline, with_marks) == (72, 8, 20)
+        with_tails += bool(tails)
+    assert (len(tables), with_inline, with_marks, with_tails) == (72, 8, 20, 65)
 
 
 def test_inline_enumeration_streams_hold_under_ref():
