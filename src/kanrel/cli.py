@@ -19,7 +19,8 @@ import traceback
 from pathlib import Path
 
 from . import bench as bench_mod
-from .convert import DirectedEngine, emit_text
+from .convert import DirectedEngine
+from .emit import emit_text
 from .goals import GoalError, Program
 from .interp import query_args, run as ref_run
 from .modes import ModeError, analyze, check_direction

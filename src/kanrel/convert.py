@@ -20,7 +20,7 @@ stack, with no streams allocated.
 
 A plan runs on envs: lists with one slot per variable of the procedure.
 The slots are numbered once, when the procedure's clauses are compiled, in
-the order of ``_proc_vars``, the tuple ``kanrel convert`` names variables
+the order of ``proc_vars``, the tuple ``kanrel convert`` names variables
 by.  Ops read and write slots by index, a step copies an env with one
 slice, and a call enters its callee with a new list, so running a plan
 hashes no variable.
@@ -80,7 +80,6 @@ from .modes import (
     op_reads,
 )
 from .normal import FlatVar
-from .pretty import display_names
 from .schema import Hole, InvalidValue, Node, Term, VarId, is_ground
 from .streams import (
     Stream,
@@ -242,10 +241,10 @@ class DirectedEngine:
         self._tails = tail_calls(table, self.inline, self._tabled)
         self._holes = itertools.count(10_000_000)
         # An env is a list with one slot per variable of its procedure, the
-        # variable's position in ``_proc_vars``; params hold the first slots.
+        # variable's position in ``proc_vars``; params hold the first slots.
         self._slots, self._in_slots = {}, {}
         for key, proc in table.procs.items():
-            slots = self._slots[key] = dict(zip(_proc_vars(proc), itertools.count()))
+            slots = self._slots[key] = dict(zip(proc_vars(proc), itertools.count()))
             self._in_slots[key] = tuple(map(slots.__getitem__, proc.ins))
         self._plans = {key: [] for key in table.procs}  # a tail holds its callee's list
         for key, proc in table.procs.items():
@@ -679,91 +678,9 @@ def _plug_or_none(term: Term, index: dict[VarId, int]):
     return lambda values: Node(ctor, tuple([p(values) for p in parts]))
 
 
-# --- textual emission ---
-
-
-def transitive_procs(table: ModeTable, rel: str, direction: str) -> list[DirectedProc]:
-    """The requested procedure followed by everything it calls, in BFS order."""
-    seen = {(rel, direction)}
-    order = [table.proc(rel, direction)]
-    for proc in order:  # order is the BFS queue: it grows as it is read
-        for clause in proc.clauses:
-            for op in clause.ops:
-                if isinstance(op, DirCall) and (op.rel, op.direction) not in seen:
-                    seen.add((op.rel, op.direction))
-                    order.append(table.proc(op.rel, op.direction))
-    return order
-
-
-def _proc_vars(proc: DirectedProc) -> tuple[VarId, ...]:
+def proc_vars(proc: DirectedProc) -> tuple[VarId, ...]:
     """The procedure's variables, each once: its params in order, then each
     clause's locals, which hold every other variable its ops use.  The engine
-    numbers env slots and ``emit_proc`` names variables by this tuple."""
+    numbers env slots and ``emit.emit_proc`` names variables by this tuple."""
     clause_locals = (c.locals for c in proc.clauses)
     return tuple(dict.fromkeys(itertools.chain(proc.params, *clause_locals)))
-
-
-def emit_proc(
-    proc: DirectedProc,
-    det: Det,
-    inline: set[SourceId],
-    tabled: set[tuple[str, str]],
-    tails: set[SourceId],
-) -> str:
-    """One procedure as text; ``inline`` and ``tabled`` are from its table's
-    ``static_plan`` and ``tails`` from ``tail_calls``.  Calls of a tabled
-    procedure are marked ``# tabled``, and tail calls ``# tail``."""
-    names = display_names(_proc_vars(proc))
-    ins = [names[p] for p in proc.ins]
-    outs = [names[p] for p in proc.outs]
-    combinator = "firstOf" if det <= Det.SEMIDET else "interleaveOf"
-    name = f"{proc.rel}_{proc.direction}"
-    lines = [
-        f"proc {name}({', '.join(ins)}) -> ({', '.join(outs)}):  # {det}",
-        f"  {combinator}:",
-    ]
-    for ci, clause in enumerate(proc.clauses):
-        lines.append("    allOf:")
-        if not clause.ops:
-            lines.append("      succeed")
-        for oi, op in enumerate(clause.ops):
-            src = proc.rel, proc.direction, ci, oi
-            reads = isinstance(op, DirCall) and (op.rel, op.direction) in tabled
-            mark = "  # tabled" if reads else "  # tail" if src in tails else ""
-            lines.append(f"      {_emit_op(op, names, src in inline)}{mark}")
-    return "\n".join(lines)
-
-
-def _emit_op(op: ModedOp, names: dict[VarId, str], enumerates: bool) -> str:
-    """An op as text; ``enumerates`` tells an inline generator from a deferred one."""
-    if isinstance(op, Guard):
-        return f"guard {names[op.var]} == {names[op.other]}"
-    if isinstance(op, GuardCtor):
-        return f"guard {names[op.var]} == {_emit_ctor(op.ctor, op.args, names)}"
-    if isinstance(op, Match):
-        return f"match {_emit_ctor(op.ctor, op.args, names)} = {names[op.var]}"
-    if isinstance(op, Assign):
-        if isinstance(op.term, FlatVar):
-            return f"{names[op.var]} := {names[op.term.var]}"
-        return f"{names[op.var]} := {_emit_ctor(op.term.ctor, op.term.args, names)}"
-    if isinstance(op, GenerateVar):
-        verb = "generate" if enumerates else "defer"
-        return f"{verb} {names[op.var]} : {op.var.type}"
-    call = f"{op.rel}_{op.direction}({', '.join(names[a] for a in op.ins)})"
-    if op.outs:
-        return f"({', '.join(names[a] for a in op.outs)}) := {call}"
-    return f"check {call}"
-
-
-def _emit_ctor(ctor: str, args: tuple[VarId, ...], names: dict[VarId, str]) -> str:
-    if not args:
-        return ctor
-    return f"{ctor}({', '.join(names[a] for a in args)})"
-
-
-def emit_text(table: ModeTable, rel: str, direction: str) -> str:
-    procs = transitive_procs(table, rel, direction)
-    inline, _, tabled = static_plan(table)
-    marks = inline, tabled, tail_calls(table, inline, tabled)
-    chunks = [emit_proc(p, table.det(p.rel, p.direction), *marks) for p in procs]
-    return "\n\n".join(chunks) + "\n"

@@ -14,13 +14,8 @@ import kanrel.convert as convert_module
 import kanrel.interp as interp_module
 import kanrel.schema as schema_module
 import kanrel.streams as streams_module
-from kanrel.convert import (
-    DirectedEngine,
-    emit_text,
-    residual_plan,
-    static_plan,
-    transitive_procs,
-)
+from kanrel.convert import DirectedEngine, residual_plan, static_plan
+from kanrel.emit import emit_text, transitive_procs
 from kanrel.goals import ArityMismatch, TypeMismatch
 from kanrel.interp import query_args, run
 from kanrel.modes import Det, DirCall, ModeError, analyze
