@@ -44,7 +44,9 @@ keep every level alive.
 
 Generation is deferred: a ``GenerateVar`` normally binds its variable to a
 fresh symbolic hole instead of enumerating, and top-level grounding expands
-whatever holes remain in an answer.  That is only sound while no operation
+whatever holes remain in an answer, through one memo per query in which
+every suffix of hole types is one shared enumeration
+(``interp.ground_answers``).  That is only sound while no operation
 ever inspects the symbolic value.  ``static_plan`` decides, once per mode
 table and in one pass, which generators enumerate inline instead; the
 engine and ``kanrel convert`` both read its plan.  It taints each generated
@@ -269,18 +271,20 @@ class DirectedEngine:
             # No generation source can reach an out param, so answers are
             # already ground and grounding would map each one to itself.
             return raw
-        return bind(raw, self._ground_stream)
+        memo: dict = {}
+        return bind(raw, lambda answer: self._ground_stream(answer, memo))
 
-    def _ground_stream(self, answer: tuple[Term, ...]) -> Stream:
+    def _ground_stream(self, answer: tuple[Term, ...], memo: dict | None = None) -> Stream:
         """Ground a raw answer by ``interp.ground_answers``, with this
         engine's builder: each tuple position is compiled once into a plug
         that indexes the enumeration's tuple of values, so hole-free
-        subterms are shared, not rebuilt per answer.
+        subterms are shared, not rebuilt per answer.  ``memo`` is the
+        query's, shared by all its answers.
         """
         index: dict[VarId, int] = {}
         plugs = tuple(_compile_plug(t, index) for t in answer)
         return ground_answers(
-            answer, self.schema, lambda values: tuple([p(values) for p in plugs])
+            answer, self.schema, lambda values: tuple([p(values) for p in plugs]), memo
         )
 
     def raw_stream(self, rel: str, direction: str, ins) -> Stream:

@@ -43,7 +43,17 @@ from .schema import (
     is_ground,
     rebuild,
 )
-from .streams import Stream, bind, from_iterator, mplus_all, smap, stream_iter, take, unit
+from .streams import (
+    Stream,
+    bind,
+    from_iterator,
+    mplus_all,
+    share,
+    smap,
+    stream_iter,
+    take,
+    unit,
+)
 
 
 Subst = Mapping[VarId, Term]
@@ -214,23 +224,34 @@ def ground_answers(
     answer: tuple[Term, ...],
     schema: TermSchema,
     build: Callable[[tuple[Node, ...]], tuple[Term, ...]] | None = None,
+    memo: dict[tuple[str, ...], Stream] | None = None,
 ) -> Stream:
     """Enumerate all ground instances of an answer tuple, fairly.
 
     The one grounding enumeration of both engines.  Holes are filled in
     first-occurrence order (``holes`` over the answer's terms, left to
-    right), found once: one bind over the hole type's candidates per hole,
-    a delay per candidate, so bind dovetails across holes; the last hole
-    maps its candidates with ``smap``, which has ``bind``'s shape for a
-    continuation that never suspends.  Candidates come from
-    ``schema.candidates``: one tuple per finite type, shared by every
-    answer, and a new ``generate`` stream per use for an infinite type.
+    right), found once.  The values of one complete assignment, one per
+    hole in that order, come as one tuple, and ``build`` maps it to a
+    ground tuple.  By default each term is rebuilt with ``rebuild``,
+    through one dict per answer; the directed engine passes compiled plugs
+    that index the tuple.  Candidates come from ``schema.candidates``: one
+    tuple per finite type, shared by every answer, and a new ``generate``
+    stream per use for an infinite type.
 
-    ``build`` maps the values of one complete assignment, one per hole in
-    that order, to a ground tuple.  Nothing is copied per filled hole: each
-    assignment is one tuple, extended by one value per hole.  By default
-    each term is rebuilt with ``rebuild``, through one dict per answer; the
-    directed engine passes compiled plugs that index the tuple.
+    A one-hole answer maps its candidates with ``smap``, a delay per
+    candidate.  An answer with more holes maps the assignments of its
+    tuple of hole types, ``_assignments``, which depend on the types alone:
+    one bind per hole over that hole's candidates, the last hole's values
+    mapped with ``smap``, which has ``bind``'s shape for a continuation that
+    never suspends, so bind dovetails across holes.  Each suffix of the
+    type tuple is one shared (call-by-need) stream in ``memo``, so every
+    value of an outer hole, and every answer with the same suffix of hole
+    types, replays one inner enumeration instead of running it again.
+    Since ``smap`` distributes over ``bind`` and ``mplus`` and ``share``
+    keeps a stream's shape, each answer's stream forces and yields exactly
+    as one nested enumeration of its own would.  A query passes one memo
+    to all its answers; it holds every tuple drawn so far for the query's
+    life.  Without one, the answer gets a memo of its own.
     """
     order: dict[VarId, None] = {}
     for term in answer:
@@ -245,15 +266,28 @@ def ground_answers(
             filling = dict(zip(residual, values))
             return tuple(rebuild(t, filling) for t in answer)
 
-    last = len(residual) - 1
+    if len(residual) == 1:
+        source = from_iterator(iter(schema.candidates(residual[0].type)))
+        return smap(source, lambda value: build((value,)))
+    types = tuple(v.type for v in residual)
+    return smap(_assignments(types, schema, {} if memo is None else memo), build)
 
-    def at(i: int, values: tuple[Node, ...]) -> Stream:
-        source = from_iterator(iter(schema.candidates(residual[i].type)))
-        if i == last:
-            return smap(source, lambda value: build((*values, value)))
-        return bind(source, lambda value: at(i + 1, (*values, value)))
 
-    return at(0, ())
+def _assignments(
+    types: tuple[str, ...], schema: TermSchema, memo: dict[tuple[str, ...], Stream]
+) -> Stream:
+    """The shared stream of value tuples for the hole types, from memo or
+    built into it, with the stream of each suffix of ``types``."""
+    shared = memo.get(types)
+    if shared is None:
+        source = from_iterator(iter(schema.candidates(types[0])))
+        if len(types) == 1:
+            shared = smap(source, lambda value: (value,))
+        else:
+            rest = _assignments(types[1:], schema, memo)
+            shared = bind(source, lambda value: smap(rest, lambda t: (value, *t)))
+        shared = memo[types] = share(shared)
+    return shared
 
 
 def query_args(relation: Relation, direction: str, ins) -> tuple[Term, ...]:
@@ -277,7 +311,7 @@ def query_stream(
     Holes in the arguments are query variables.  The search starts from the
     empty substitution, with one ``RefEval`` whose id supply begins above
     the query variables' ids.  Answers that leave a hole unconstrained are
-    grounded by enumeration.
+    grounded by enumeration, all through one memo (see ``ground_answers``).
     """
     relation = program.relation(rel_name)
     if len(args) != len(relation.params):
@@ -288,10 +322,11 @@ def query_stream(
     query_vars = [v.id for a in args for v in holes(a)]
     ev = RefEval(program, max(query_vars, default=-1) + 1)
     substs: Stream = lambda: ev.invoke(rel_name, args, {})
+    memo: dict[tuple[str, ...], Stream] = {}
 
     def emit(subst: Subst) -> Stream:
         answer = tuple(deref(a, subst) for a in args)
-        return ground_answers(answer, program.schema)
+        return ground_answers(answer, program.schema, memo=memo)
 
     return bind(substs, emit)
 

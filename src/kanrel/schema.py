@@ -486,7 +486,10 @@ def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
     built anew.  A node that ``is_ground`` has marked is returned as is,
     without a walk, so a hole-free input, or a binding to the rest of one,
     costs O(1) however large it is.  Any other node whose resolved parts
-    are the very objects it holds is returned as is after its walk.
+    are the very objects it holds is returned as is after its walk.  A node
+    built anew whose parts are all nullary or marked is hole-free, and is
+    marked as ``is_ground`` would mark it, so ``holes``, ``rebuild`` and
+    ``is_ground`` do not enter it later.
 
     Raises CyclicBindingError when the substitution resolves a variable
     through itself.  The walk counts the bindings followed on the path from
@@ -530,9 +533,15 @@ def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
         out = t
         while True:
             if len(spine) > base:
-                # The unary nodes above ``out``, rebuilt innermost first.
+                # The unary nodes above ``out``, rebuilt innermost first.  The
+                # nodes built are the lowest ones, and hole-free with ``out``.
+                ground = out.__class__ is Node and (not out.args or out._ground)
                 for node in reversed(spine[base:]):
-                    out = node if out is node.args[0] else Node(node.ctor, (out,))
+                    if out is node.args[0]:
+                        out = node
+                    else:
+                        out = Node(node.ctor, (out,))
+                        out._ground = ground
                 del spine[base:]
             if not stack:
                 return out
@@ -550,6 +559,11 @@ def deref(term: Term, subst: Mapping[VarId, Term]) -> Term:
             for a, b in zip(done, args):
                 if a is not b:
                     out = Node(node.ctor, tuple(done))
+                    for part in done:
+                        if part.__class__ is not Node or (part.args and not part._ground):
+                            break
+                    else:
+                        out._ground = True
                     break
             else:
                 out = node

@@ -17,7 +17,7 @@ import kanrel.streams as streams_module
 from kanrel.convert import DirectedEngine, residual_plan, static_plan
 from kanrel.emit import emit_text, transitive_procs
 from kanrel.goals import ArityMismatch, TypeMismatch
-from kanrel.interp import query_args, run
+from kanrel.interp import answer_iter, query_args, run
 from kanrel.modes import Det, DirCall, ModeError, analyze
 from kanrel.normal import normalize_program
 from kanrel.parser import parse_program
@@ -452,21 +452,26 @@ def test_leaves_io():
 
 CTX = Node("CCons", (Node("TInt"), Node("CCons", (Node("TBool"), Node("CNil")))))
 
-PINNED_QUERIES = [
-    ("nat", "addo", "oio", (nat(3),), 200),
-    ("nat", "addo", "ioo", (nat(4),), 200),
-    ("nat", "addo", "ooi", (nat(64),), None),
-    ("nat", "addo", "iio", (nat(40), nat(25)), None),
-    ("nat", "addo", "iii", (nat(40), nat(25), nat(65)), None),
-    ("sort", "sorto", "oi", (natlist([0, 1, 2, 3, 4]),), None),
-    ("typecheck", "typo", "oi", (Node("TBool"),), 500),
-    ("typecheck", "typov", "ioi", (CTX, Node("TInt")), 500),
-    ("balance", "balanceo", "oo", (), 100),
-]
+PINNED_QUERIES = {
+    "addo@oio": ("nat", "addo", "oio", (nat(3),), 200),
+    "addo@ioo": ("nat", "addo", "ioo", (nat(4),), 200),
+    "addo@ooi": ("nat", "addo", "ooi", (nat(64),), None),
+    "addo@iio": ("nat", "addo", "iio", (nat(40), nat(25)), None),
+    "addo@iii": ("nat", "addo", "iii", (nat(40), nat(25), nat(65)), None),
+    "sorto@oi": ("sort", "sorto", "oi", (natlist([0, 1, 2, 3, 4]),), None),
+    "typo@oi": ("typecheck", "typo", "oi", (Node("TBool"),), 500),
+    "typov@ioi": ("typecheck", "typov", "ioi", (CTX, Node("TInt")), 500),
+    "balanceo@oo": ("balance", "balanceo", "oo", (), 100),
+    # At perfbench's size: most of these answers ground raw answers that
+    # hold two or more holes.
+    "typo@oi-2000": ("typecheck", "typo", "oi", (Node("TBool"),), 2000),
+    "typov@ioi-2000": ("typecheck", "typov", "ioi", (CTX, Node("TInt")), 2000),
+}
 
 # sha256 of the repr of each converted answer list, taken on the engine
-# whose envs were dicts keyed by variable: a runtime change that reorders,
-# drops or alters any answer shows here.
+# whose envs were dicts keyed by variable (the -2000 ones on the engine whose
+# grounding nested one bind per hole in each answer): a runtime change that
+# reorders, drops or alters any answer shows here.
 ANSWER_DIGESTS = {
     "addo@oio": "31ba6e41e3fb31048bf9f13440f5dcf546f2bae5a28f41fb718caaadc5231684",
     "addo@ioo": "3ad61d8e4380a5db690d34f872b9b53e84dbe612b8bed2a674fbcc3c7f3f8adf",
@@ -477,6 +482,8 @@ ANSWER_DIGESTS = {
     "typo@oi": "f44509f4710e9c7e35e0e5f355090e3b64b9234ed5f12e34382cf9c32e1d891c",
     "typov@ioi": "0a713dd18bed9c3980b3338b790332db21043a48b7f8db00d8f32b5fe0332649",
     "balanceo@oo": "ea6240a22e6d11ed5a748bd7bc51a1f80dfd36a80c4aeb9fd79c2a7b0fa27b36",
+    "typo@oi-2000": "2b9d9fc779e062169c6944ae5843e0a2a20c98bb0a9b964a944df9b6f2785c84",
+    "typov@ioi-2000": "61d097ae58f56c2e3235e3f6e74b2d971ae97dabbb819596604579fcae815ab6",
 }
 
 # The search engine's lists, taken on the engine whose search states
@@ -490,15 +497,15 @@ REF_DIGESTS = {
 
 
 @pytest.mark.parametrize(
-    "engine, name, rel, direction, ins, n",
+    "engine, key, name, rel, direction, ins, n",
     [
         # The converted cases keep the ids they had before ref was pinned.
-        pytest.param(engine, *q, id=f"{prefix}{q[1]}@{q[2]}")
+        pytest.param(engine, key, *q, id=f"{prefix}{key}")
         for engine, prefix in (("converted", ""), ("ref", "ref-"))
-        for q in PINNED_QUERIES
+        for key, q in PINNED_QUERIES.items()
     ],
 )
-def test_answer_lists_are_pinned(engine, name, rel, direction, ins, n):
+def test_answer_lists_are_pinned(engine, key, name, rel, direction, ins, n):
     if engine == "ref":
         program = corpus_program(name)
         args = query_args(program.relation(rel), direction, ins)
@@ -508,7 +515,45 @@ def test_answer_lists_are_pinned(engine, name, rel, direction, ins, n):
         answers = engine_for(name, [(rel, direction)]).run(rel, direction, ins, n)
         digests = ANSWER_DIGESTS
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
-    assert digest == digests[f"{rel}@{direction}"]
+    assert digest == digests[key]
+
+
+@pytest.mark.parametrize("engine", ["converted", "ref"])
+def test_grounding_shares_one_source_per_hole_types_suffix(engine, monkeypatch):
+    # typo@oi's raw answers hold 1, 3, 5, 7, 9 and, from answer 1328 on,
+    # 11 Boolean holes.  A query draws Boolean candidates once for its one
+    # one-hole answer and once per distinct suffix of the other answers'
+    # hole types (11), however many answers it grounds; a second query
+    # starts over, so nothing is carried between queries.
+    program = corpus_program("typecheck")
+    eng = engine_for("typecheck", [("typo", "oi")])
+    ins = (Node("TBool"),)
+    args = query_args(program.relation("typo"), "oi", ins)
+    calls = 0
+    real = schema_module.TermSchema.candidates
+
+    def counting(self, type_name):
+        nonlocal calls
+        calls += 1
+        return real(self, type_name)
+
+    monkeypatch.setattr(schema_module.TermSchema, "candidates", counting)
+
+    def candidates_drawn() -> list[int]:
+        nonlocal calls
+        calls = 0
+        if engine == "ref":
+            it = answer_iter(program, "typo", args)
+        else:
+            it = eng.answer_iter("typo", "oi", ins)
+        drawn = []
+        for _ in range(2):
+            assert len(list(itertools.islice(it, 2000))) == 2000
+            drawn.append(calls)
+        return drawn
+
+    assert candidates_drawn() == [12, 12]
+    assert candidates_drawn() == [12, 12]
 
 
 @pytest.mark.parametrize(

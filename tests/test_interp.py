@@ -7,6 +7,8 @@ order for mature answers, one delay per call) and noted inline.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +44,7 @@ from kanrel.schema import (
     holes,
     is_ground,
 )
-from kanrel.streams import take
+from kanrel.streams import Stream, bind, from_iterator, smap, take
 
 PROG = addo_program()
 SCHEMA = PROG.schema
@@ -210,6 +212,34 @@ class TestGrounding:
 
         assert holes_calls(64) == holes_calls(128)
 
+    def test_ref_answers_come_to_grounding_marked(self, monkeypatch):
+        # deref marks the hole-free nodes it builds, so ``holes`` does not
+        # enter the Nat an addo@oio answer has built: the nodes it looks at
+        # per term do not grow with the answers drawn, though x and z do.
+        looked_at: list[int] = []
+
+        def counting(term):
+            # The nodes ``holes`` looks at: it enters a node only when it
+            # is neither nullary nor marked.
+            count, pending = 0, [term]
+            while pending:
+                t = pending.pop()
+                count += 1
+                if isinstance(t, Node) and t.args and not t._ground:
+                    pending.extend(t.args)
+            looked_at.append(count)
+            return holes(term)
+
+        monkeypatch.setattr(interp_module, "holes", counting)
+
+        def most_looked_at(n: int) -> int:
+            looked_at.clear()
+            args = query_args(PROG.relation("addo"), "oio", (nat(3),))
+            assert len(run(PROG, "addo", args, n)) == n
+            return max(looked_at)
+
+        assert most_looked_at(16) == most_looked_at(128)
+
 
 # The first 40 groundings of If(BLit(b1), Lit(n), Plus(Lit(n), BLit(b2)))
 # in the typecheck schema, as (b1, n, b2): a finite hole, an infinite one,
@@ -250,6 +280,52 @@ def test_grounding_order_is_pinned():
     ]
     assert take(ground_answers(answer, engine.schema), 40) == want
     assert take(engine._ground_stream(answer), 40) == want
+
+
+def nested_grounding(types: tuple[str, ...], schema) -> Stream:
+    """The value tuples of holes of these types, one nested bind per hole
+    over its candidates and ``smap`` for the last: the enumeration each
+    answer ran on its own before suffix streams were shared."""
+    last = len(types) - 1
+
+    def at(i: int, values: tuple) -> Stream:
+        source = from_iterator(iter(schema.candidates(types[i])))
+        if i == last:
+            return smap(source, lambda value: (*values, value))
+        return bind(source, lambda value: at(i + 1, (*values, value)))
+
+    return at(0, ())
+
+
+def stream_events(s: Stream, k: int) -> list:
+    """The first k events of a stream: None for a delay forced, else the
+    element yielded."""
+    out: list = []
+    while s is not None and len(out) < k:
+        if callable(s):
+            out.append(None)
+            s = s()
+        else:
+            head, s = s
+            out.append(head)
+    return out
+
+
+def test_shared_grounding_has_the_nested_shape():
+    # Sharing suffix streams must not move one delay or one element, on
+    # the read that builds the memo's streams or on a read that replays
+    # them.
+    schema = directed_engine("typecheck", (("typo", "oi"),)).schema
+    for k in (2, 3, 4):
+        for types in itertools.product(("Nat", "Boolean", "Ty", "Expr"), repeat=k):
+            answer = tuple(Hole(VarId(i, t)) for i, t in enumerate(types))
+            want = stream_events(nested_grounding(types, schema), 3000)
+            memo: dict = {}
+            for _ in range(2):
+                got = ground_answers(answer, schema, lambda values: values, memo)
+                assert stream_events(got, 3000) == want, types
+            # One stream per suffix of the type tuple.
+            assert len(memo) == k
 
 
 class TestQueryValidation:
